@@ -183,7 +183,7 @@ def main(argv=None) -> int:
         check(parser, args)
     try:
         return args.func(args)
-    except (GraphError, PathError, WordError, FileNotFoundError) as exc:
+    except (GraphError, PathError, WordError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

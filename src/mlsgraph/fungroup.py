@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .graphs import DirectedEdge, GraphError, MetricGraph
 from .paths import CyclicPath, EdgePath, cyclically_reduce, reduce_steps
@@ -360,10 +360,6 @@ def identity_hom(basis: Basis) -> Hom:
     return Hom(basis, basis, gens, gens)
 
 
-def spectrum_function(basis: Basis) -> Callable[[Word], Fraction]:
-    return lambda w: marked_length(basis, w)
-
-
 # -- hom file format --------------------------------------------------
 
 def write_hom(h: Hom, name: str = "phi") -> str:
@@ -404,7 +400,10 @@ def read_hom(text: str, source: Basis, target: Basis) -> Hom:
         fields = head.split()
         if len(fields) != 2 or not fields[1].startswith("g"):
             raise WordError(f"line {lineno}: malformed gen line")
-        k = int(fields[1][1:])
+        try:
+            k = int(fields[1][1:])
+        except ValueError:
+            raise WordError(f"line {lineno}: bad generator name {fields[1]!r}") from None
         if k != len(current) + 1:
             raise WordError(f"line {lineno}: generators must appear in index order")
         word_text = body.strip()

@@ -103,24 +103,26 @@ def compute_core(g: MetricGraph) -> CoreDecomposition:
     return CoreDecomposition(g, core, complement, branch, segments)
 
 
+def _find(parent: dict[int, int], x: int) -> int:
+    """Union-find root of `x` with path halving; absent keys are roots."""
+    while parent.get(x, x) != x:
+        parent[x] = parent.get(parent[x], parent[x])
+        x = parent[x]
+    return x
+
+
 def _complement_components(g: MetricGraph, core_v: set[int], core_e: set[int]):
     dead_e = sorted(g.edge_ids - core_e)
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
 
     for eid in dead_e:
         rec = g.edge(eid)
         parent.setdefault(rec.u, rec.u)
         parent.setdefault(rec.v, rec.v)
-        parent[find(rec.u)] = find(rec.v)
+        parent[_find(parent, rec.u)] = _find(parent, rec.v)
     groups: dict[int, list[int]] = {}
     for eid in dead_e:
-        groups.setdefault(find(g.edge(eid).u), []).append(eid)
+        groups.setdefault(_find(parent, g.edge(eid).u), []).append(eid)
     out = []
     for eids in groups.values():
         tree = g.subgraph(eids)
@@ -197,12 +199,6 @@ def _retracts_onto(g: MetricGraph, sub_v: set[int], sub_e: set[int]) -> bool:
     extra_e = sorted(g.edge_ids - sub_e)
     parent: dict[int, int] = {}
 
-    def find(x: int) -> int:
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
     # Union endpoints of complement edges, never across sub vertices.
     comp_sizes: dict[int, list[int]] = {}
     for eid in extra_e:
@@ -212,7 +208,7 @@ def _retracts_onto(g: MetricGraph, sub_v: set[int], sub_e: set[int]) -> bool:
         if rec.u in sub_v and rec.v in sub_v:
             return False  # a complement edge joining two sub vertices closes a cycle
         if rec.u not in sub_v and rec.v not in sub_v:
-            parent[find(rec.u)] = find(rec.v)
+            parent[_find(parent, rec.u)] = _find(parent, rec.v)
     # Isolated non-sub vertices cannot occur in a connected graph with edges.
     for v in g.vertex_ids - sub_v:
         if v not in parent:
@@ -223,7 +219,8 @@ def _retracts_onto(g: MetricGraph, sub_v: set[int], sub_e: set[int]) -> bool:
         anchor = rec.u if rec.u not in sub_v else rec.v
         if anchor in sub_v:
             return False
-        comp = components.setdefault(find(anchor), {"edges": 0, "verts": set(), "attach": set()})
+        comp = components.setdefault(_find(parent, anchor),
+                                     {"edges": 0, "verts": set(), "attach": set()})
         comp["edges"] += 1
         for w in (rec.u, rec.v):
             if w in sub_v:

@@ -63,32 +63,37 @@ def _transition_tables(g: MetricGraph):
 
 def _enumerate_loop_codes(g: MetricGraph, max_edges: int,
                           budget: int | None = None) -> set[tuple[int, ...]]:
+    """Canonical rotations of the closed non-backtracking walks of at most
+    `max_edges` steps; one budget step per walk visited.  Depth-first over a
+    stack of successor iterators, so no depth hits the recursion limit."""
     limit = default_budget() if budget is None else budget
     used = 0
     codes, head, tail, succ = _transition_tables(g)
     found: set[tuple[int, ...]] = set()
-    base = -1
-
-    def extend(walk: list[int], first: int) -> None:
-        nonlocal used
-        used += 1
-        if used > limit:
-            raise BudgetExceededError(f"oracle budget of {limit} steps exceeded")
-        last = walk[-1]
-        if head[last] == base and last != first ^ 1:
-            t = tuple(walk)
-            found.add(min(t[i:] + t[:i] for i in range(len(t))))
-        if len(walk) == max_edges:
-            return
-        for step in succ[last]:
-            if step >= first:
-                walk.append(step)
-                extend(walk, first)
-                walk.pop()
-
     for first in codes:
         base = tail[first]
-        extend([first], first)
+        walk: list[int] = []
+        pending = [iter((first,))]
+        while pending:
+            for step in pending[-1]:
+                if step >= first:
+                    break
+            else:
+                pending.pop()
+                if walk:
+                    walk.pop()
+                continue
+            walk.append(step)
+            used += 1
+            if used > limit:
+                raise BudgetExceededError(f"oracle budget of {limit} steps exceeded")
+            if head[step] == base and step != first ^ 1:
+                t = tuple(walk)
+                found.add(min(t[i:] + t[:i] for i in range(len(t))))
+            if len(walk) == max_edges:
+                walk.pop()
+            else:
+                pending.append(iter(succ[step]))
     return found
 
 

@@ -10,10 +10,10 @@ is an exact rational identity:
     both ends, so its length is recoverable from three spectrum values;
   * transporting the pair through the isomorphism and intersecting the
     image loops recovers the corresponding path in the target core;
-  * doing this for distance minimizers matches up the branch points, doing
-    it for segments matches up the segments, and reading the matched
-    segments back as words verifies that the isometry induces the given
-    isomorphism up to one conjugating word.
+  * doing this once for every core segment matches up the segments, and
+    the endpoints of their images match up the branch points; reading the
+    matched segments back as words verifies that the isometry induces the
+    given isomorphism up to one conjugating word.
 
 Any failed identity aborts the pipeline with a structured failure naming
 the witness, so a rejection is as auditable as an acceptance.
@@ -22,7 +22,7 @@ the witness, so a rejection is as auditable as an acceptance.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .fungroup import (Basis, Hom, Word, apply_hom, concat_words, cyclic_reduce_word,
@@ -320,69 +320,55 @@ def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
 
 @dataclass(frozen=True)
 class BranchMatch:
-    """Verified branch-point correspondence with its distance ledger."""
+    """Verified branch-point correspondence with its distance ledger.
+
+    `images` holds the transported image of every source segment, in
+    `core1.segments` order; the vertex map is read off their endpoints.
+    """
 
     forward: dict[int, int]
     backward: dict[int, int]
     distance_ledger: tuple[tuple[tuple[int, int], tuple[int, int], Fraction, Fraction], ...]
-
-
-def _map_branch_points(core1: CoreDecomposition, basis1: Basis,
-                       core2: CoreDecomposition, basis2: Basis, hom: Hom) -> dict[int, int]:
-    b1 = sorted(core1.branch_points)
-    fmap: dict[int, int] = {}
-    implied: dict[int, set[int]] = {}
-    for x in b1:
-        starts: set[int] = set()
-        if len(b1) >= 2:
-            for y in b1:
-                if y == x:
-                    continue
-                p = shortest_path(core1.core, x, y)
-                pair = distinguishing_pair(core1, p, basis1)
-                nu = transport_path(core2, basis2, hom, pair)
-                starts.add(nu.start)
-                implied.setdefault(y, set()).add(nu.end)
-        else:
-            for seg in core1.segments:
-                pair = distinguishing_pair(core1, seg.path, basis1)
-                nu = transport_path(core2, basis2, hom, pair)
-                starts.add(nu.start)
-                implied.setdefault(x, set()).add(nu.end)
-        if len(starts) != 1:
-            raise RigidityError("branch-point-inconsistent",
-                                f"images of paths out of {x} start at {sorted(starts)}")
-        fx = starts.pop()
-        if fx not in core2.branch_points:
-            raise RigidityError("branch-point-inconsistent",
-                                f"image of {x} is {fx}, not a branch point")
-        fmap[x] = fx
-    for y, images in implied.items():
-        if images != {fmap[y]}:
-            raise RigidityError("branch-point-inconsistent",
-                                f"terminal images for {y} disagree: {sorted(images)}")
-    return fmap
+    images: tuple[EdgePath, ...]
 
 
 def branch_point_map(core1: CoreDecomposition, basis1: Basis,
                      core2: CoreDecomposition, basis2: Basis, hom: Hom) -> BranchMatch:
-    """Match branch points through transported distance minimizers.
+    """Match branch points through the transported core segments.
 
-    Fills the exact distance ledger over all branch pairs and certifies
-    bijectivity by running the same construction through the inverse hom.
+    Every branch point is an endpoint of some segment, so one transport per
+    source segment fixes the map: a segment's start goes to its image's start
+    and its end to its image's end.  Each branch point must get exactly one
+    image, every image must be a target branch point, and the map must be a
+    bijection.  Fills the exact distance ledger over all branch pairs.
     """
     if not core1.branch_points or not core2.branch_points:
         raise RigidityError("circle-case", "a core has no branch points")
-    fmap = _map_branch_points(core1, basis1, core2, basis2, hom)
-    gmap = _map_branch_points(core2, basis2, core1, basis1, hom.inverse())
+    images = []
+    implied: dict[int, set[int]] = {}
+    for seg in core1.segments:
+        nu = transport_path(core2, basis2, hom, distinguishing_pair(core1, seg.path, basis1))
+        images.append(nu)
+        implied.setdefault(seg.x, set()).add(nu.start)
+        implied.setdefault(seg.y, set()).add(nu.end)
+    b1 = sorted(core1.branch_points)
+    fmap: dict[int, int] = {}
+    for x in b1:
+        found = implied.get(x, set())
+        if len(found) != 1:
+            raise RigidityError("branch-point-inconsistent",
+                                f"segment ends at {x} map to {sorted(found)}")
+        fx = found.pop()
+        if fx not in core2.branch_points:
+            raise RigidityError("branch-point-inconsistent",
+                                f"image of {x} is {fx}, not a branch point")
+        fmap[x] = fx
     if len(core1.branch_points) != len(core2.branch_points):
         raise RigidityError("branch-not-bijective", "branch point counts differ")
-    for x, fx in fmap.items():
-        if gmap.get(fx) != x:
-            raise RigidityError("branch-not-bijective",
-                                f"inverse map sends {fx} to {gmap.get(fx)}, not {x}")
+    backward = {fx: x for x, fx in fmap.items()}
+    if len(backward) != len(fmap):
+        raise RigidityError("branch-not-bijective", "two branch points share an image")
     ledger = []
-    b1 = sorted(core1.branch_points)
     for i, x in enumerate(b1):
         for y in b1[i + 1:]:
             d1 = shortest_path(core1.core, x, y).length
@@ -392,7 +378,7 @@ def branch_point_map(core1: CoreDecomposition, basis1: Basis,
                     "distance-ledger",
                     f"d({x},{y}) = {d1} but d({fmap[x]},{fmap[y]}) = {d2}")
             ledger.append(((x, y), (fmap[x], fmap[y]), d1, d2))
-    return BranchMatch(fmap, gmap, tuple(ledger))
+    return BranchMatch(fmap, backward, tuple(ledger), tuple(images))
 
 
 # -- the certificate ------------------------------------------------------
@@ -432,20 +418,17 @@ class IsometryCertificate:
 
 
 def extend_isometry(core1: CoreDecomposition, basis1: Basis,
-                    core2: CoreDecomposition, basis2: Basis, hom: Hom,
+                    core2: CoreDecomposition, basis2: Basis,
                     branch: BranchMatch) -> IsometryCertificate:
     """Extend a verified branch-point match to a segment correspondence.
 
-    Every source segment is transported through its own distinguishing pair
-    and must land exactly on a target segment of the same length, consistently
-    with the branch map on endpoints; the correspondence must be a bijection.
+    Every source segment's transported image must be exactly a target segment
+    of the same length; the correspondence must be a bijection.
     """
     seg_map = []
     ledger = []
     used: set[int] = set()
-    for i, seg in enumerate(core1.segments):
-        pair = distinguishing_pair(core1, seg.path, basis1)
-        nu = transport_path(core2, basis2, hom, pair)
+    for i, (seg, nu) in enumerate(zip(core1.segments, branch.images)):
         match = None
         for j, target in enumerate(core2.segments):
             if nu.start == target.path.start and nu.steps == target.path.steps:
@@ -465,11 +448,6 @@ def extend_isometry(core1: CoreDecomposition, basis1: Basis,
         if j in used:
             raise RigidityError("segment-unmatched", f"target segment {j} matched twice")
         used.add(j)
-        expected = (branch.forward[seg.x], branch.forward[seg.y])
-        if (nu.start, nu.end) != expected:
-            raise RigidityError(
-                "segment-endpoints",
-                f"segment {i} maps to endpoints ({nu.start},{nu.end}), expected {expected}")
         ledger.append((seg.length, core2.segments[j].length))
         seg_map.append((i, j, reversed_flag))
     if len(used) != len(core2.segments):
@@ -671,25 +649,16 @@ def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,
             if not check.ok:
                 return ReconstructionFailure("induced-hom",
                                              f"generator g{check.failing_generator}")
-            return _with_tau(cert, check)
+            return replace(cert, tau=check.tau, induced_images=check.images)
         if sweep_len > 0:
             _spectrum_sweep(hom.source, hom.target, hom, sweep_len)
         branch = branch_point_map(core1, hom.source, core2, hom.target, hom)
-        cert = extend_isometry(core1, hom.source, core2, hom.target, hom, branch)
+        cert = extend_isometry(core1, hom.source, core2, hom.target, branch)
         check = verify_induces_hom(cert, hom)
         if not check.ok:
             return ReconstructionFailure("induced-hom",
                                          f"generator g{check.failing_generator}")
-        return _with_tau(cert, check)
+        return replace(cert, tau=check.tau, induced_images=check.images)
     except RigidityError as exc:
         return ReconstructionFailure(exc.code, exc.detail)
 
-
-def _with_tau(cert: IsometryCertificate, check: InducedHomCheck) -> IsometryCertificate:
-    return IsometryCertificate(
-        kind=cert.kind, core1=cert.core1, core2=cert.core2,
-        basis1=cert.basis1, basis2=cert.basis2,
-        vertex_map=cert.vertex_map, segment_map=cert.segment_map,
-        length_ledger=cert.length_ledger, distance_ledger=cert.distance_ledger,
-        tau=check.tau if check.tau is not None else (),
-        induced_images=check.images)

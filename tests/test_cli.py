@@ -50,6 +50,20 @@ def test_missing_file_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_directory_argument_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "core", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_undecodable_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, "core", str(bad))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_malformed_graph_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("graph g\nvertex 0\nedge 0 0 5 1\n")
@@ -99,6 +113,20 @@ def test_disguise_reconstruct_accept(theta_file, tmp_path, capsys):
     code, out, _ = run(capsys, "reconstruct", theta_file, str(g2), str(hom))
     assert code == 0
     assert out.splitlines()[-1] == "verdict ACCEPT"
+
+
+def test_reconstruct_bad_generator_name_is_usage_error(theta_file, tmp_path, capsys):
+    g2 = tmp_path / "g2.txt"
+    hom = tmp_path / "phi.txt"
+    run(capsys, "disguise", theta_file, "--seed", "3",
+        "--out-graph", str(g2), "--out-hom", str(hom))
+    lines = hom.read_text().splitlines()
+    lines[1] = "gen gx = g1"
+    hom.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "reconstruct", theta_file, str(g2), str(hom))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: bad generator name 'gx'\n"
 
 
 def test_disguise_of_tree_rejected(tmp_path, capsys):

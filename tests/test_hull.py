@@ -207,6 +207,14 @@ def test_core_equals_loop_union_pendant(theta):
     assert core_equals_loop_union(g, 4)
 
 
+def test_loop_union_long_circle():
+    # One enumeration as deep as the circle is long: deeper than the
+    # interpreter's default recursion limit.
+    n = 1200
+    g = MetricGraph(range(n), [(i, i, (i + 1) % n, 1) for i in range(n)])
+    assert core_loop_union_agrees(g)
+
+
 def test_loop_union_incremental_random():
     for seed in range(30):
         g = random_graph(seed, 2 + seed % 5, 1 + seed % 3, 5)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mlsgraph import rigidity
 from mlsgraph import (Hom, IsometryCertificate, MetricGraph, ReconstructionFailure,
                       RigidityError, branch_point_map, brute_force_isometry, compute_core,
                       disguise, distinguishing_pair, identity_hom,
@@ -132,7 +133,28 @@ def test_branch_map_identity(theta):
     basis = spanning_tree(theta)
     match = branch_point_map(core, basis, core, basis, identity_hom(basis))
     assert match.forward == {0: 0, 1: 1}
+    assert match.backward == {0: 0, 1: 1}
+    assert [(nu.start, nu.steps) for nu in match.images] == \
+        [(seg.x, seg.path.steps) for seg in core.segments]
     assert match.distance_ledger[0][2] == match.distance_ledger[0][3] == 1
+
+
+def test_reconstruct_transports_each_segment_once(monkeypatch):
+    g = random_graph(4, 6, 5, 9)
+    inst = disguise(g, 4)
+    core1 = compute_core(g)
+    assert len(core1.branch_points) >= 2
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1].path.steps)
+        return transport_path(*args)
+
+    monkeypatch.setattr(rigidity, "transport_path", counted)
+    cert = reconstruct(g, inst.graph, inst.hom, sweep_len=0)
+    assert isinstance(cert, IsometryCertificate), cert
+    assert cert.vertex_map == inst.branch_map
+    assert calls == [seg.path.steps for seg in core1.segments]
 
 
 def test_reconstruct_identity_certificates(theta, dumbbell, pendant_theta):

@@ -155,8 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph2")
     p.add_argument("hom")
     p.add_argument("--sweep", type=int, default=4,
-                   help="up-front spectrum sweep word length (0 disables)")
-    p.set_defaults(func=cmd_reconstruct)
+                   help="up-front spectrum sweep: each conjugacy class of words up to "
+                        "this length is checked once (0 disables)")
+    p.set_defaults(func=cmd_reconstruct, check=_check_reconstruct)
 
     p = sub.add_parser("check-iso", help="brute-force isometry check between two cores")
     p.add_argument("graph1")
@@ -173,6 +174,11 @@ def _check_gen(parser, args) -> None:
 def _check_spectrum(parser, args) -> None:
     if args.max_len < 1:
         parser.error("--max-len must be at least 1")
+
+
+def _check_reconstruct(parser, args) -> None:
+    if args.sweep < 0:
+        parser.error("--sweep must be at least 0")
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .graphs import DirectedEdge, GraphError, MetricGraph
-from .paths import CyclicPath, EdgePath, cyclically_reduce, reduce_steps
+from .paths import CyclicPath, EdgePath, cyclically_reduce, least_rotation, reduce_steps
 
 Word = tuple[int, ...]
 
@@ -76,7 +76,7 @@ def canonical_cyclic_word(w: Word) -> Word:
     core, _ = cyclic_reduce_word(w)
     if not core:
         return ()
-    return min(core[i:] + core[:i] for i in range(len(core)))
+    return least_rotation(core)
 
 
 def parse_word(text: str) -> Word:

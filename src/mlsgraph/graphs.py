@@ -94,7 +94,8 @@ class MetricGraph:
                 raise GraphError(
                     f"edge {eid}: float lengths are not exact; pass a Fraction, "
                     f"an int, or a literal string")
-            recs[eid] = EdgeRecord(u, v, Fraction(length))
+            recs[eid] = EdgeRecord(u, v, length if isinstance(length, Fraction)
+                                   else Fraction(length))
         self._edges = recs
 
         adj: dict[int, list[DirectedEdge]] = {v: [] for v in self._vertices}
@@ -107,7 +108,8 @@ class MetricGraph:
         # Common denominator so path lengths can be summed as plain ints.
         scale = math.lcm(*(rec.length.denominator for rec in recs.values())) if recs else 1
         self._scale = scale
-        self._scaled = {eid: int(rec.length * scale) for eid, rec in recs.items()}
+        self._scaled = {eid: rec.length.numerator * (scale // rec.length.denominator)
+                        for eid, rec in recs.items()}
 
     # -- basic access -------------------------------------------------
 

@@ -14,7 +14,7 @@ from itertools import permutations
 from .fungroup import Basis, Hom, Word, apply_hom, enumerate_reduced_words, marked_length
 from .graphs import DirectedEdge, GraphError, MetricGraph
 from .hull import compute_core
-from .paths import CyclicPath
+from .paths import CyclicPath, least_rotation
 
 
 class BudgetExceededError(RuntimeError):
@@ -88,8 +88,7 @@ def _enumerate_loop_codes(g: MetricGraph, max_edges: int,
             if used > limit:
                 raise BudgetExceededError(f"oracle budget of {limit} steps exceeded")
             if head[step] == base and step != first ^ 1:
-                t = tuple(walk)
-                found.add(min(t[i:] + t[:i] for i in range(len(t))))
+                found.add(least_rotation(tuple(walk)))
             if len(walk) == max_edges:
                 walk.pop()
             else:

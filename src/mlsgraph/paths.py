@@ -109,7 +109,7 @@ class CyclicPath:
         for step, nxt in zip(steps, steps[1:] + steps[:1]):
             if graph.step_head(step) != graph.step_tail(nxt):
                 raise PathError("cyclic steps do not chain")
-        return CyclicPath(graph, min(_rotations(steps)))
+        return CyclicPath(graph, least_rotation(steps))
 
     @property
     def length(self) -> Fraction:
@@ -124,13 +124,11 @@ class CyclicPath:
 
     def based_at(self, vertex: int) -> EdgePath:
         """The lexicographically least rotation starting at `vertex`, as a based loop."""
-        best = None
-        for rot in _rotations(self.steps):
-            if self.graph.step_tail(rot[0]) == vertex and (best is None or rot < best):
-                best = rot
-        if best is None:
+        steps = self.steps
+        starts = [i for i, s in enumerate(steps) if self.graph.step_tail(s) == vertex]
+        if not starts:
             raise PathError(f"cyclic path does not pass through vertex {vertex}")
-        return EdgePath(self.graph, vertex, best)
+        return EdgePath(self.graph, vertex, min(steps[i:] + steps[:i] for i in starts))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -139,8 +137,9 @@ class CyclicPath:
         return f"CyclicPath({' '.join(map(str, self.steps))})"
 
 
-def _rotations(steps: tuple[DirectedEdge, ...]) -> list[tuple[DirectedEdge, ...]]:
-    return [steps[i:] + steps[:i] for i in range(len(steps))]
+def least_rotation(seq: tuple) -> tuple:
+    """The lexicographically least rotation of a non-empty tuple."""
+    return min(seq[i:] + seq[:i] for i in range(len(seq)))
 
 
 # -- reduction --------------------------------------------------------

@@ -25,9 +25,9 @@ import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .fungroup import (Basis, Hom, Word, apply_hom, concat_words, cyclic_reduce_word,
-                       enumerate_reduced_words, format_word, invert_word, loop_class_word,
-                       loop_to_word, marked_length, word_to_loop)
+from .fungroup import (Basis, Hom, Word, apply_hom, canonical_cyclic_word, concat_words,
+                       cyclic_reduce_word, enumerate_reduced_words, format_word, invert_word,
+                       loop_class_word, loop_to_word, marked_length, word_to_loop)
 from .graphs import DirectedEdge, GraphError, MetricGraph, require_valid
 from .hull import CoreDecomposition, compute_core, is_circle
 from .paths import (EdgePath, PathError, cyclic_reduce_based, format_path, is_reduced,
@@ -599,7 +599,23 @@ def verify_induces_hom(cert: IsometryCertificate, hom: Hom,
 # -- full pipeline ---------------------------------------------------------
 
 def _spectrum_sweep(basis1: Basis, basis2: Basis, hom: Hom, max_len: int) -> None:
+    """Check l2(hom(w)) == l1(w) on one word per conjugacy class up to
+    inversion, over the reduced words of length <= `max_len`.
+
+    Skipping is exact.  The marked length spectrum is a class function,
+    l(u w u^-1) = l(w), and l(w^-1) = l(w); a homomorphism sends conjugates
+    to conjugates and inverses to inverses.  So a skipped word passes iff
+    the earlier word of its class passed, the first failing word in
+    enumeration order is always checked, and the `SpectrumMismatchError`
+    witness is that word, as in an exhaustive sweep.
+    """
+    checked: set[Word] = set()
     for w in enumerate_reduced_words(basis1.rank, max_len):
+        key = canonical_cyclic_word(w)
+        if key in checked:
+            continue
+        checked.add(key)
+        checked.add(canonical_cyclic_word(invert_word(key)))
         expected = marked_length(basis1, w)
         got = marked_length(basis2, apply_hom(hom, w))
         if got != expected:
@@ -611,9 +627,11 @@ def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,
     """Run the full reconstruction pipeline.
 
     Returns an accepted certificate or the first structured failure.  The
-    up-front spectrum sweep (word length `sweep_len`, 0 to disable) is a
-    fast-fail convenience; acceptance rests on the per-query checks and the
-    exact ledgers, never on the sweep.
+    up-front spectrum sweep checks each conjugacy class of words of length
+    <= `sweep_len` once, up to inversion (0 disables it).  It is a fast-fail
+    convenience: no finite sweep determines a marked metric graph, so
+    acceptance rests on the per-query checks and the exact ledgers, never on
+    the sweep.
     """
     require_valid(g1)
     require_valid(g2)

@@ -17,8 +17,8 @@ from mlsgraph import (Hom, IsometryCertificate, MetricGraph, ReconstructionFailu
                       distinguishing_pair, identity_hom, marked_length, random_graph,
                       reconstruct, recovered_length, retraction_check, spanning_tree,
                       spectra_agree_up_to, transport_path, verify_induces_hom)
-from mlsgraph.fungroup import (apply_hom, concat_words, enumerate_reduced_words, invert_word,
-                               word_power)
+from mlsgraph.fungroup import (apply_hom, concat_words, enumerate_reduced_words, format_word,
+                               invert_word, word_power)
 from mlsgraph.hull import _retracts_onto
 from mlsgraph.paths import concat_reduce, is_reduced, reduce_path, shortest_path
 from mlsgraph.rigidity import RigidityError
@@ -234,6 +234,8 @@ def test_c08_negative_instances():
         assert counterexample is not None
         assert marked_length(b1, counterexample) != \
             marked_length(b2p, apply_hom(hom, counterexample))
+        if res.code == "spectrum-mismatch":
+            assert res.detail.startswith(format_word(counterexample) + " (")
     _report(8, "negative instances rejected with witnesses", t0, 120.0)
 
 

@@ -1,4 +1,12 @@
+import contextlib
+import functools
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlsgraph.cli import main
 
@@ -41,6 +49,12 @@ def test_gen_roundtrip(tmp_path, capsys):
 def test_gen_zero_vertices_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["gen", "--seed", "1", "--vertices", "0", "--out", "x.txt"])
+    assert exit_info.value.code == 2
+
+
+def test_reconstruct_negative_sweep_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["reconstruct", "g1.txt", "g2.txt", "hom.txt", "--sweep", "-1"])
     assert exit_info.value.code == 2
 
 
@@ -198,3 +212,71 @@ def test_reconstruct_output_deterministic(theta_file, tmp_path, capsys):
     _, first, _ = run(capsys, "reconstruct", theta_file, str(g2), str(hom))
     _, second, _ = run(capsys, "reconstruct", theta_file, str(g2), str(hom))
     assert first == second
+
+
+# -- exit-code contract under malformed input -------------------------------
+
+@functools.cache
+def _pair_files() -> tuple[bytes, bytes, bytes]:
+    """Graph, disguise and hom file of a small `gen` / `disguise` pair."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [str(Path(tmp) / name) for name in ("g1.txt", "g2.txt", "hom.txt")]
+        assert main(["gen", "--seed", "3", "--vertices", "4", "--extra", "3",
+                     "--out", paths[0]]) == 0
+        assert main(["disguise", paths[0], "--seed", "5",
+                     "--out-graph", paths[1], "--out-hom", paths[2]]) == 0
+        return tuple(Path(p).read_bytes() for p in paths)
+
+
+FUZZ_TOKENS = st.sampled_from([
+    b"", b"0", b"1", b"-1", b"7", b"99", b"1/0", b"0/3", b"-2/3", b"1.5", b"abc",
+    b"g1", b"g0", b"g9", b"gx", b"g1^-1", b"^-1", b"=", b"-", b"#", b"graph",
+    b"vertex", b"edge", b"hom", b"gen", b"inverse", b"\xff\xfe"])
+
+
+@st.composite
+def mutated_pair(draw):
+    """The pair's files after one to three edits: a line deleted, duplicated
+    or swapped with the next, a token replaced, bytes inserted, or a cut."""
+    files = list(_pair_files())
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, 2))
+        lines = files[k].split(b"\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "token", "insert", "cut"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap" and i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif op == "token":
+            tokens = lines[i].split(b" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(FUZZ_TOKENS)
+            lines[i] = b" ".join(tokens)
+        text = b"\n".join(lines)
+        if op == "insert":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.binary(min_size=1, max_size=4)) + text[at:]
+        elif op == "cut":
+            text = text[:draw(st.integers(0, len(text)))]
+        files[k] = text
+    return files
+
+
+@given(mutated_pair())
+@settings(max_examples=100, deadline=None)
+def test_reconstruct_exit_code_contract_fuzz(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [str(Path(tmp) / name) for name in ("g1.txt", "g2.txt", "hom.txt")]
+        for path, data in zip(paths, files):
+            Path(path).write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["reconstruct", *paths])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+    else:
+        assert out.getvalue().splitlines()[-1].startswith("verdict ")

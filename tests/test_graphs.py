@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlsgraph import (GraphError, MetricGraph, attach_tree, format_length, graph_distance,
                       parse_length, random_graph, read_graph, subdivide_edge, validate_graph,
@@ -20,6 +22,23 @@ def test_parse_length_forms():
 def test_format_length_roundtrip():
     for value in (Fraction(3, 7), Fraction(4), Fraction(22, 11)):
         assert parse_length(format_length(value)) == value
+
+
+edge_lengths = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4).map(
+        lambda x: f"{x.numerator}/{x.denominator}"),
+    st.decimals(min_value=-10**4, max_value=10**4, places=3).map(str))
+
+
+@given(st.lists(edge_lengths, min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_scaled_length_is_exact(lengths):
+    g = MetricGraph([0], [(k, 0, 0, x) for k, x in enumerate(lengths)])
+    for k, x in enumerate(lengths):
+        assert g.length(k) == (parse_length(x) if isinstance(x, str) else Fraction(x))
+        assert g.scaled_length(k) == g.length(k) * g.length_scale
 
 
 def test_directed_edge_reverse_involution():

@@ -341,6 +341,24 @@ def test_reconstruct_rejects_same_shape_different_lengths():
     assert isinstance(res_nosweep, ReconstructionFailure)
 
 
+def test_spectrum_sweep_queries_each_class_once(monkeypatch):
+    """Rank 4, words up to length 4: 3,200 reduced words fall into 390
+    conjugacy classes up to inversion, and each class costs two queries."""
+    g = MetricGraph([0, 1], [(k, 0, 1, k + 1) for k in range(5)])
+    b = spanning_tree(g)
+    assert b.rank == 4
+    queried = []
+    real = rigidity.marked_length
+
+    def counting(basis, w):
+        queried.append(w)
+        return real(basis, w)
+
+    monkeypatch.setattr(rigidity, "marked_length", counting)
+    rigidity._spectrum_sweep(b, b, identity_hom(b), 4)
+    assert len(queried) == 780
+
+
 def test_reconstruct_rejects_non_preserving_self_iso(theta):
     """The swap automorphism of the theta graph's group is a certified
     isomorphism, but it sends the length-3 class to the length-4 class."""

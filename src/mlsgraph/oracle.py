@@ -100,10 +100,17 @@ def covering_loop_depth(g: MetricGraph, edge_ids) -> int:
     """Max over the given edges of the shortest cyclically reduced loop
     through the edge (edge count), via breadth-first search in the
     non-backtracking transition digraph.  This is the enumeration depth at
-    which the loop union stabilizes on those edges."""
+    which the loop union stabilizes on those edges.
+
+    One search per given edge, from its forward step: reversing a loop
+    through e and rotating it gives a loop of the same length that starts
+    with e^-1, so the reverse step's search finds nothing shorter."""
     codes, head, tail, succ = _transition_tables(g)
-    best: dict[int, int] = {}
+    wanted = set(edge_ids)
+    depth = 0
     for start in codes:
+        if start & 1 or start >> 1 not in wanted:
+            continue
         # shortest closed non-backtracking walk starting with `start`; the
         # wraparound condition is the transition constraint back into it.
         target = tail[start]
@@ -122,9 +129,8 @@ def covering_loop_depth(g: MetricGraph, edge_ids) -> int:
                         nxt.append(s)
             frontier = nxt
         if shortest is not None:
-            eid = start >> 1
-            best[eid] = min(best.get(eid, shortest), shortest)
-    return max((best[e] for e in edge_ids if e in best), default=0)
+            depth = max(depth, shortest)
+    return depth
 
 
 def brute_force_isometry(g1: MetricGraph, g2: MetricGraph):

@@ -598,7 +598,15 @@ def verify_induces_hom(cert: IsometryCertificate, hom: Hom,
 
 # -- full pipeline ---------------------------------------------------------
 
-def _spectrum_sweep(basis1: Basis, basis2: Basis, hom: Hom, max_len: int) -> None:
+# Word length up to which `reconstruct` sweeps before the pipeline runs.
+# Rejected inputs usually break the spectrum on a class this short, so they
+# still fail before the costlier pipeline; longer classes are checked only
+# when the pipeline does not accept.
+SWEEP_PREFIX_LEN = 2
+
+
+def _spectrum_sweep(basis1: Basis, basis2: Basis, hom: Hom, max_len: int,
+                    checked: set[Word] | None = None) -> None:
     """Check l2(hom(w)) == l1(w) on one word per conjugacy class up to
     inversion, over the reduced words of length <= `max_len`.
 
@@ -608,8 +616,14 @@ def _spectrum_sweep(basis1: Basis, basis2: Basis, hom: Hom, max_len: int) -> Non
     the earlier word of its class passed, the first failing word in
     enumeration order is always checked, and the `SpectrumMismatchError`
     witness is that word, as in an exhaustive sweep.
+
+    `checked` holds the canonical words of the classes already checked and
+    is updated in place.  Passing the set left by a shorter sweep resumes it:
+    the shorter words are enumerated again but cost no query, so the two
+    calls check the same classes, in the same order, as one sweep.
     """
-    checked: set[Word] = set()
+    if checked is None:
+        checked = set()
     for w in enumerate_reduced_words(basis1.rank, max_len):
         key = canonical_cyclic_word(w)
         if key in checked:
@@ -627,11 +641,17 @@ def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,
     """Run the full reconstruction pipeline.
 
     Returns an accepted certificate or the first structured failure.  The
-    up-front spectrum sweep checks each conjugacy class of words of length
-    <= `sweep_len` once, up to inversion (0 disables it).  It is a fast-fail
-    convenience: no finite sweep determines a marked metric graph, so
-    acceptance rests on the per-query checks and the exact ledgers, never on
-    the sweep.
+    spectrum sweep checks each conjugacy class of words of length
+    <= `sweep_len` once, up to inversion (0 disables it).  Classes of words
+    up to length `SWEEP_PREFIX_LEN` are checked before the pipeline runs;
+    the rest only when the pipeline does not accept.  Verdict and witness
+    are those of a full sweep run up front: an accepted certificate is an
+    isometry of the cores inducing `hom` up to conjugation, and an isometry
+    keeps the length of every loop, so no class can fail after an ACCEPT.
+
+    The sweep is a fast-fail convenience: no finite sweep determines a
+    marked metric graph, so acceptance rests on the per-query checks and
+    the exact ledgers, never on the sweep.
     """
     require_valid(g1)
     require_valid(g2)
@@ -668,14 +688,20 @@ def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,
                 return ReconstructionFailure("induced-hom",
                                              f"generator g{check.failing_generator}")
             return replace(cert, tau=check.tau, induced_images=check.images)
-        if sweep_len > 0:
-            _spectrum_sweep(hom.source, hom.target, hom, sweep_len)
-        branch = branch_point_map(core1, hom.source, core2, hom.target, hom)
-        cert = extend_isometry(core1, hom.source, core2, hom.target, branch)
-        check = verify_induces_hom(cert, hom)
-        if not check.ok:
-            return ReconstructionFailure("induced-hom",
-                                         f"generator g{check.failing_generator}")
+        checked: set[Word] = set()
+        _spectrum_sweep(hom.source, hom.target, hom, min(sweep_len, SWEEP_PREFIX_LEN),
+                        checked)
+        try:
+            branch = branch_point_map(core1, hom.source, core2, hom.target, hom)
+            cert = extend_isometry(core1, hom.source, core2, hom.target, branch)
+            check = verify_induces_hom(cert, hom)
+            if not check.ok:
+                raise RigidityError("induced-hom", f"generator g{check.failing_generator}")
+        except Exception:
+            # Not an ACCEPT: a mismatch in the rest of the sweep comes first,
+            # as it would have had the whole sweep run before the pipeline.
+            _spectrum_sweep(hom.source, hom.target, hom, sweep_len, checked)
+            raise
         return replace(cert, tau=check.tau, induced_images=check.images)
     except RigidityError as exc:
         return ReconstructionFailure(exc.code, exc.detail)

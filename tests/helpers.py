@@ -1,5 +1,11 @@
-"""Shared test utilities: random reduced paths and their re-expansions."""
+"""Shared test utilities: random reduced paths and their re-expansions,
+homomorphisms composed with Nielsen moves, and the acceptance suite's
+disguise and negative-instance streams."""
 
+from fractions import Fraction
+
+from mlsgraph import MetricGraph, compute_core, disguise, random_graph, spanning_tree
+from mlsgraph.fungroup import Hom, apply_hom
 from mlsgraph.paths import EdgePath
 
 
@@ -32,3 +38,56 @@ def insert_cancelling_pairs(rng, path, count):
         e = rng.choice(out)
         steps[pos:pos] = [e, e.reverse()]
     return EdgePath(g, path.start, tuple(steps))
+
+
+def nielsen_compose(hom, i, j, sign, left=False):
+    """`hom` precomposed with the elementary Nielsen automorphism of its
+    source that sends g_i to g_i g_j^sign (g_j^sign g_i when `left`), or to
+    g_i^-1 when i == j.  The inverse images are composed to match, so the
+    result is again a certified isomorphism."""
+    rank = hom.source.rank
+    gens = [(k,) for k in range(1, rank + 1)]
+    fwd, back = list(gens), list(gens)
+    if i == j:
+        fwd[i - 1] = back[i - 1] = (-i,)
+    elif left:
+        fwd[i - 1], back[i - 1] = (sign * j, i), (-sign * j, i)
+    else:
+        fwd[i - 1], back[i - 1] = (i, sign * j), (i, -sign * j)
+    alpha_inv = Hom(hom.source, hom.source, tuple(back), tuple(fwd))
+    images = tuple(apply_hom(hom, w) for w in fwd)
+    inverse = tuple(apply_hom(alpha_inv, apply_hom(hom.inverse(), (k,)))
+                    for k in range(1, hom.target.rank + 1))
+    return Hom(hom.source, hom.target, images, inverse)
+
+
+def disguise_instances(count, core_cap=10, seed0=0):
+    """Deterministic stream of (base graph, disguise) pairs whose disguised
+    cores have at most `core_cap` edges."""
+    out = []
+    seed = seed0
+    while len(out) < count:
+        seed += 1
+        g = random_graph(seed, 2 + seed % 4, 1 + seed % 3, 5)
+        if compute_core(g).is_empty:
+            continue
+        inst = disguise(g, seed + 10_000)
+        if len(compute_core(inst.graph).core.edge_ids) > core_cap:
+            continue
+        out.append((g, inst))
+    return out
+
+
+def c08_negative(g, inst, k):
+    """Negative instance k of the acceptance suite: the disguise's core edge
+    `k mod (core edges)` lengthened by 1/7, with the disguise's hom between
+    fresh bases.  Returns the perturbed graph and the hom."""
+    g2 = inst.graph
+    core_edges = sorted(compute_core(g2).core.edge_ids)
+    perturbed_edge = core_edges[k % len(core_edges)]
+    rows = [(eid, rec.u, rec.v,
+             rec.length + (Fraction(1, 7) if eid == perturbed_edge else 0))
+            for eid, rec in g2.edges_sorted()]
+    g2p = MetricGraph(g2.vertex_ids, rows, name="perturbed")
+    return g2p, Hom(spanning_tree(g), spanning_tree(g2p), inst.hom.images,
+                    inst.hom.inverse_images)

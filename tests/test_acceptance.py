@@ -10,7 +10,8 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from helpers import insert_cancelling_pairs, random_reduced_path
+from helpers import (c08_negative, disguise_instances, insert_cancelling_pairs,
+                     random_reduced_path)
 
 from mlsgraph import (Hom, IsometryCertificate, MetricGraph, ReconstructionFailure,
                       brute_force_isometry, compute_core, core_loop_union_agrees, disguise,
@@ -52,23 +53,6 @@ def _random_corpus(count, seed0=0, max_vertices=7, max_extra=3):
         out.append(random_graph(seed, 2 + seed % (max_vertices - 1),
                                 1 + seed % max_extra, 6))
         seed += 1
-    return out
-
-
-def _disguise_instances(count, core_cap=10, seed0=0):
-    """Deterministic stream of (base graph, disguise) pairs whose disguised
-    cores have at most `core_cap` edges."""
-    out = []
-    seed = seed0
-    while len(out) < count:
-        seed += 1
-        g = random_graph(seed, 2 + seed % 4, 1 + seed % 3, 5)
-        if compute_core(g).is_empty:
-            continue
-        inst = disguise(g, seed + 10_000)
-        if len(compute_core(inst.graph).core.edge_ids) > core_cap:
-            continue
-        out.append((g, inst))
     return out
 
 
@@ -200,7 +184,7 @@ def test_c06_distinguishing_formula_exactness():
 
 def test_c07_round_trip_rigidity():
     t0 = time.perf_counter()
-    instances = _disguise_instances(200)
+    instances = disguise_instances(200)
     for g, inst in instances:
         cert = reconstruct(g, inst.graph, inst.hom)
         assert isinstance(cert, IsometryCertificate), cert
@@ -215,21 +199,13 @@ def test_c07_round_trip_rigidity():
 
 def test_c08_negative_instances():
     t0 = time.perf_counter()
-    instances = _disguise_instances(200)
+    instances = disguise_instances(200)
     for k, (g, inst) in enumerate(instances):
-        g2 = inst.graph
-        core_edges = sorted(compute_core(g2).core.edge_ids)
-        perturbed_edge = core_edges[k % len(core_edges)]
-        rows = [(eid, rec.u, rec.v,
-                 rec.length + (Fraction(1, 7) if eid == perturbed_edge else 0))
-                for eid, rec in g2.edges_sorted()]
-        g2p = MetricGraph(g2.vertex_ids, rows, name="perturbed")
-        b1 = spanning_tree(g)
-        b2p = spanning_tree(g2p)
-        hom = Hom(b1, b2p, inst.hom.images, inst.hom.inverse_images)
+        g2p, hom = c08_negative(g, inst, k)
         res = reconstruct(g, g2p, hom)
         assert isinstance(res, ReconstructionFailure)
         assert res.code
+        b1, b2p = hom.source, hom.target
         counterexample = spectra_agree_up_to(b1, b2p, hom, 4)
         assert counterexample is not None
         assert marked_length(b1, counterexample) != \

@@ -180,3 +180,49 @@ def test_covering_depth_is_minimal_stabilization():
             for c in enumerate_cyclic_loops(g, depth - 1):
                 prior |= c.support()
             assert prior != core_edges
+
+
+def _covering_loop_depth_all_starts(g, edge_ids):
+    """The search from every directed step, before it was cut to one forward
+    step per requested edge; kept as the reference."""
+    from mlsgraph.oracle import _transition_tables
+
+    codes, head, tail, succ = _transition_tables(g)
+    best = {}
+    for start in codes:
+        target = tail[start]
+        dist = {start: 1}
+        frontier = [start]
+        shortest = None
+        while frontier and shortest is None:
+            nxt = []
+            for c in frontier:
+                if head[c] == target and start in succ[c]:
+                    shortest = dist[c]
+                    break
+                for s in succ[c]:
+                    if s not in dist:
+                        dist[s] = dist[c] + 1
+                        nxt.append(s)
+            frontier = nxt
+        if shortest is not None:
+            eid = start >> 1
+            best[eid] = min(best.get(eid, shortest), shortest)
+    return max((best[e] for e in edge_ids if e in best), default=0)
+
+
+def test_covering_depth_matches_search_from_every_step():
+    import random
+
+    from mlsgraph.oracle import covering_loop_depth
+
+    rng = random.Random(5)
+    circle = MetricGraph(range(41), [(i, i, (i + 1) % 40, 1) for i in range(40)]
+                         + [(40, 0, 40, 1)] + [(41 + k, 0, 0, 1) for k in range(2)])
+    graphs = [circle] + [random_graph(seed, 1 + seed % 6, seed % 5, 4) for seed in range(300)]
+    for g in graphs:
+        edges = sorted(g.edge_ids)
+        for edge_ids in (edges, sorted(compute_core(g).core.edge_ids), [],
+                         rng.sample(edges, rng.randint(0, len(edges))), [len(edges) + 7]):
+            assert covering_loop_depth(g, edge_ids) == \
+                _covering_loop_depth_all_starts(g, edge_ids), (g, edge_ids)

@@ -104,6 +104,7 @@ class MetricGraph:
                 adj[rec.u].append(DirectedEdge(eid, False))
                 adj[rec.v].append(DirectedEdge(eid, True))
         self._adj = {v: tuple(sorted(out)) for v, out in adj.items()}
+        self._next: dict[DirectedEdge, tuple[DirectedEdge, ...]] = {}
 
         # Common denominator so path lengths can be summed as plain ints.
         scale = math.lcm(*(rec.length.denominator for rec in recs.values())) if recs else 1
@@ -140,6 +141,13 @@ class MetricGraph:
             return self._adj[v]
         except KeyError:
             raise GraphError(f"unknown vertex id {v}") from None
+
+    def next_steps(self, step: DirectedEdge) -> tuple[DirectedEdge, ...]:
+        """Steps that can follow `step` in a reduced path, sorted; cached."""
+        if step not in self._next:
+            back = step.reverse()
+            self._next[step] = tuple(s for s in self.out_steps(self.step_head(step)) if s != back)
+        return self._next[step]
 
     def step_tail(self, step: DirectedEdge) -> int:
         rec = self.edge(step.edge)

@@ -150,18 +150,16 @@ def _segments(core: MetricGraph, branch: frozenset[int]) -> tuple[Segment, ...]:
         steps = [step]
         at = core.step_head(step)
         while at != base:
-            nxt = [s for s in core.out_steps(at) if s != steps[-1].reverse()]
-            steps.append(nxt[0])
-            at = core.step_head(nxt[0])
+            steps.append(core.next_steps(steps[-1])[0])
+            at = core.step_head(steps[-1])
         return (Segment(_canonical_arc(EdgePath(core, base, tuple(steps)))),)
     for v in sorted(branch):
         for first in core.out_steps(v):
             steps = [first]
             at = core.step_head(first)
             while at not in branch:
-                options = [s for s in core.out_steps(at) if s != steps[-1].reverse()]
-                steps.append(options[0])  # interior degree is exactly 2
-                at = core.step_head(options[0])
+                steps.append(core.next_steps(steps[-1])[0])  # interior degree is exactly 2
+                at = core.step_head(steps[-1])
             arc = _canonical_arc(EdgePath(core, v, tuple(steps)))
             found.setdefault(frozenset(arc.steps), arc)
     segs = sorted(found.values(), key=lambda p: p.steps)

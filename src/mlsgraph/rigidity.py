@@ -7,7 +7,9 @@ is an exact rational identity:
 
   * a distinguished path (between branch points, or a loop segment at one)
     is paired with two loops that agree exactly along it and separate at
-    both ends, so its length is recoverable from three spectrum values;
+    both ends, so its length is recoverable from three spectrum values
+    (the loops close up along least shortest reduced routes, all read off
+    one breadth-first tree of non-backtracking steps per first step);
   * transporting the pair through the isomorphism and intersecting the
     image loops recovers the corresponding path in the target core;
   * doing this once for every core segment matches up the segments, and
@@ -21,7 +23,7 @@ the witness, so a rejection is as auditable as an acceptance.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -102,62 +104,62 @@ class DistinguishedPair:
         return self.loop1.length + self.loop2.length - 2 * self.path.length
 
 
-def _nonbacktracking_route(core: MetricGraph, first: DirectedEdge,
-                           last: DirectedEdge) -> tuple[DirectedEdge, ...] | None:
-    """Deterministic reduced path whose first and last steps are prescribed.
+def _route_tree(core: MetricGraph, first: DirectedEdge) -> dict[DirectedEdge, DirectedEdge | None]:
+    """Breadth-first tree of the reduced routes that start with `first`: every
+    directed edge reached maps to the step before it (None for `first`).  As
+    every step costs 1 and successors come in sorted order, each state is first
+    reached along its lexicographically least shortest route."""
+    parent: dict[DirectedEdge, DirectedEdge | None] = {first: None}
+    queue = deque([first])
+    while queue:
+        state = queue.popleft()
+        for nxt in core.next_steps(state):
+            if nxt not in parent:
+                parent[nxt] = state
+                queue.append(nxt)
+    return parent
 
-    Uniform-cost search over directed-edge states with lexicographic
-    tie-breaking; returns None when `last` is unreachable from `first`.
-    """
-    best: dict[DirectedEdge, tuple[int, tuple]] = {first: (1, (first,))}
-    heap = [(1, (first,), first)]
-    settled: set[DirectedEdge] = set()
-    while heap:
-        n, steps, state = heapq.heappop(heap)
-        if state in settled:
-            continue
-        settled.add(state)
-        if state == last:
-            return steps
-        for nxt in core.out_steps(core.step_head(state)):
-            if nxt == state.reverse() or nxt in settled:
+
+def _frames(core: MetricGraph, firsts, lasts) -> list[tuple]:
+    """(d, a, route) for every first step d and last step a, in that order,
+    where route is the least shortest reduced route from d to a; pairs that
+    no route joins are left out.  One route tree serves each d."""
+    frames = []
+    for d in firsts:
+        parent = _route_tree(core, d)
+        for a in lasts:
+            if a not in parent:
                 continue
-            cand = (n + 1, steps + (nxt,))
-            if nxt not in best or cand < best[nxt]:
-                best[nxt] = cand
-                heapq.heappush(heap, (cand[0], cand[1], nxt))
-    return None
+            route = [a]
+            while parent[route[-1]] is not None:
+                route.append(parent[route[-1]])
+            frames.append((d, a, tuple(reversed(route))))
+    return frames
 
 
 def _pair_candidates(core: CoreDecomposition, p: EdgePath):
-    """Yield verified (loop1, loop2, frame) triples in deterministic order."""
+    """Yield verified (loop1, loop2, frame) triples in deterministic order.
+
+    A loop is `p` then a frame's route from a first step d that does not
+    backtrack along `p` to a last step a that does not backtrack into it.
+    A loop segment pairs its square with each frame; an arc pairs two frames
+    with distinct d and distinct a."""
     cg = core.core
     x, y = p.start, p.end
     first_p, last_p = p.steps[0], p.steps[-1]
     into_x = sorted(s.reverse() for s in cg.out_steps(x))
 
     if p.is_closed():
-        # Loop-segment case: one loop is the square of the path.
         square = EdgePath(cg, x, p.steps + p.steps)
         firsts = [d for d in cg.out_steps(x) if d not in (last_p.reverse(), first_p)]
         lasts = [a for a in into_x if a not in (first_p.reverse(), last_p)]
-        for d in firsts:
-            for a in lasts:
-                route = _nonbacktracking_route(cg, d, a)
-                if route is None:
-                    continue
-                other = EdgePath(cg, x, p.steps + route)
-                yield square, other, ("loop", d, a)
+        for d, a, route in _frames(cg, firsts, lasts):
+            yield square, EdgePath(cg, x, p.steps + route), ("loop", d, a)
         return
 
     outs_y = [d for d in cg.out_steps(y) if d != last_p.reverse()]
     ins_x = [a for a in into_x if a != first_p.reverse()]
-    frames = []
-    for d in outs_y:
-        for a in ins_x:
-            route = _nonbacktracking_route(cg, d, a)
-            if route is not None:
-                frames.append((d, a, route))
+    frames = _frames(cg, outs_y, ins_x)
     for d1, a1, r1 in frames:
         for d2, a2, r2 in frames:
             if d1 == d2 or a1 == a2:
@@ -262,14 +264,9 @@ def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
         based.append(b)
         conj.append(c)
 
-    def contains(longer: EdgePath, shorter: EdgePath) -> bool:
-        return longer.steps[: len(shorter.steps)] == shorter.steps
-
-    if contains(conj[0], conj[1]):
-        long_i, short_i = 0, 1
-    elif contains(conj[1], conj[0]):
-        long_i, short_i = 1, 0
-    else:
+    long_i = 0 if len(conj[0].steps) >= len(conj[1].steps) else 1
+    short_i = 1 - long_i
+    if conj[long_i].steps[:len(conj[short_i].steps)] != conj[short_i].steps:
         raise RigidityError(
             "claim1-containment",
             f"conjugators diverge: {format_path(conj[0])!r} vs {format_path(conj[1])!r}")
@@ -425,19 +422,17 @@ def extend_isometry(core1: CoreDecomposition, basis1: Basis,
     Every source segment's transported image must be exactly a target segment
     of the same length; the correspondence must be a bijection.
     """
+    # (start, steps) of every target segment, forward and reversed, to its
+    # (index, reversed) row; the first entry wins, as in a scan in j order.
+    by_path: dict[tuple, tuple[int, bool]] = {}
+    for j, target in enumerate(core2.segments):
+        for path, flag in ((target.path, False), (target.path.reverse(), True)):
+            by_path.setdefault((path.start, path.steps), (j, flag))
     seg_map = []
     ledger = []
     used: set[int] = set()
     for i, (seg, nu) in enumerate(zip(core1.segments, branch.images)):
-        match = None
-        for j, target in enumerate(core2.segments):
-            if nu.start == target.path.start and nu.steps == target.path.steps:
-                match = (j, False)
-                break
-            rev = target.path.reverse()
-            if nu.start == rev.start and nu.steps == rev.steps:
-                match = (j, True)
-                break
+        match = by_path.get((nu.start, nu.steps))
         if match is None:
             if any(t.length == seg.length for t in core2.segments):
                 raise RigidityError("segment-unmatched",
@@ -469,14 +464,12 @@ class InducedHomCheck:
     images: tuple[Word, ...]
 
 
-def _segment_traversals(cert: IsometryCertificate, loop: EdgePath) -> list[tuple[int, bool]]:
+def _segment_traversals(cert: IsometryCertificate, where: dict[int, tuple[int, int]],
+                        loop: EdgePath) -> list[tuple[int, bool]]:
     """Decompose a reduced core loop based at a branch point into whole
-    directed segment traversals (segment index, traversed backward)."""
+    directed segment traversals (segment index, traversed backward).
+    `where` maps an edge id to (segment index, position along the segment)."""
     segments = cert.core1.segments
-    where: dict[int, tuple[int, int]] = {}
-    for idx, seg in enumerate(segments):
-        for pos, step in enumerate(seg.path.steps):
-            where[step.edge] = (idx, pos)
     out = []
     steps = loop.steps
     i = 0
@@ -500,7 +493,8 @@ def _segment_traversals(cert: IsometryCertificate, loop: EdgePath) -> list[tuple
     return out
 
 
-def _induced_image(cert: IsometryCertificate, k: int) -> Word:
+def _induced_image(cert: IsometryCertificate, where: dict[int, tuple[int, int]],
+                   k: int) -> Word:
     """Image of the k-th source generator under the certificate's isometry.
 
     Raises RigidityError or PathError when the certificate's segment map is
@@ -515,7 +509,7 @@ def _induced_image(cert: IsometryCertificate, k: int) -> Word:
     lam = word_to_loop(basis1, (k,))
     based = reduce_path(s1.then(lam).then(s1.reverse()))
     target_steps: list[DirectedEdge] = []
-    for idx, backward in _segment_traversals(cert, based):
+    for idx, backward in _segment_traversals(cert, where, based):
         j, flag = seg_image[idx]
         piece = cert.core2.segments[j].path
         if flag != backward:  # exactly one reversal flips the traversal
@@ -544,11 +538,7 @@ def _tau_candidates(induced: tuple[Word, ...], hom: Hom) -> list[Word]:
         if core_w != (j,):
             return []  # discrepancy is not an inner automorphism
         candidates.append(conj)
-    seen: list[Word] = []
-    for c in candidates:
-        if c not in seen:
-            seen.append(c)
-    return seen
+    return list(dict.fromkeys(candidates))
 
 
 def verify_induces_hom(cert: IsometryCertificate, hom: Hom,
@@ -570,10 +560,12 @@ def verify_induces_hom(cert: IsometryCertificate, hom: Hom,
                 return InducedHomCheck(True, t, None, (expect,))
         return InducedHomCheck(False, None, 1, (expect,))
 
+    where = {step.edge: (idx, pos) for idx, seg in enumerate(cert.core1.segments)
+             for pos, step in enumerate(seg.path.steps)}
     induced_list = []
     for k in range(1, hom.source.rank + 1):
         try:
-            induced_list.append(_induced_image(cert, k))
+            induced_list.append(_induced_image(cert, where, k))
         except (RigidityError, PathError):
             return InducedHomCheck(False, None, k, tuple(induced_list))
     induced = tuple(induced_list)

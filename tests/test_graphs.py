@@ -48,6 +48,18 @@ def test_directed_edge_reverse_involution():
     assert str(e.reverse()) == "e3^-1"
 
 
+def test_next_steps_continue_without_backtracking(dumbbell):
+    loop, bridge = DirectedEdge(0), DirectedEdge(2)
+    # At a self-loop only the loop's own reverse is a backtrack.
+    assert dumbbell.next_steps(loop) == (loop, bridge)
+    assert dumbbell.next_steps(loop.reverse()) == (loop.reverse(), bridge)
+    assert dumbbell.next_steps(bridge) == (DirectedEdge(1), DirectedEdge(1, True))
+    assert dumbbell.next_steps(bridge.reverse()) == (loop, loop.reverse())
+    for v in dumbbell.vertex_ids:
+        for step in dumbbell.out_steps(v):
+            assert dumbbell.next_steps(step) is dumbbell.next_steps(step)
+
+
 def test_validate_well_formed(theta):
     assert validate_graph(theta) == []
 

@@ -5,11 +5,12 @@ import pytest
 from mlsgraph import rigidity
 from mlsgraph import (Hom, IsometryCertificate, MetricGraph, ReconstructionFailure,
                       RigidityError, branch_point_map, brute_force_isometry, compute_core,
-                      disguise, distinguishing_pair, identity_hom,
+                      disguise, distinguishing_pair, extend_isometry, identity_hom,
                       marked_length, random_graph, reconstruct, recovered_length,
                       spanning_tree, transport_path, verify_induces_hom)
 from mlsgraph.fungroup import apply_hom, concat_words, invert_word
-from mlsgraph.paths import format_path, shortest_path
+from mlsgraph.graphs import DirectedEdge
+from mlsgraph.paths import EdgePath, format_path, shortest_path
 
 
 def spectrum_of(basis):
@@ -310,6 +311,40 @@ def test_verify_detects_corrupted_certificate(dumbbell):
     check = verify_induces_hom(broken, inst.hom)
     assert not check.ok
     assert check.failing_generator is not None
+
+
+def test_extend_isometry_matches_and_codes(theta):
+    core, basis = compute_core(theta), spanning_tree(theta)
+    paths = [seg.path for seg in core.segments]  # e0, e1, e2: lengths 1, 2, 3
+    off_segment = EdgePath(core.core, 0, (DirectedEdge(0), DirectedEdge(1, True),
+                                          DirectedEdge(0)))
+
+    def extend(images, core1=core, core2=core):
+        branch = rigidity.BranchMatch({0: 0, 1: 1}, {0: 0, 1: 1}, (), tuple(images))
+        return extend_isometry(core1, basis, core2, basis, branch)
+
+    assert extend(paths).segment_map == ((0, 0, False), (1, 1, False), (2, 2, False))
+    assert extend([p.reverse() for p in paths]).segment_map == \
+        ((0, 0, True), (1, 1, True), (2, 2, True))
+    cert = extend([paths[1], paths[2].reverse(), paths[0]])
+    assert cert.segment_map == ((0, 1, False), (1, 2, True), (2, 0, False))
+    assert cert.length_ledger == ((1, 2), (2, 3), (3, 1))
+
+    def code(*args, **kwargs):
+        with pytest.raises(RigidityError) as err:
+            extend(*args, **kwargs)
+        return str(err.value)
+
+    assert code([paths[0], paths[0], paths[2]]) == \
+        "segment-unmatched: target segment 0 matched twice"
+    assert code([off_segment, paths[1], paths[2]]) == \
+        "segment-unmatched: segment 0 has no matching target segment"
+    longer = MetricGraph([0, 1], [(0, 0, 1, 1), (1, 0, 1, 2), (2, 0, 1, 5)])
+    assert code(paths[:2] + [off_segment], core1=compute_core(longer)) == \
+        "segment-length: no target segment of length 5 for segment 2"
+    four = MetricGraph([0, 1], [(0, 0, 1, 1), (1, 0, 1, 2), (2, 0, 1, 3), (3, 0, 1, 4)])
+    assert code(paths, core2=compute_core(four)) == \
+        "segment-unmatched: target segments left unmatched"
 
 
 def test_certificate_report_format(dumbbell):

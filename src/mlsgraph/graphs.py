@@ -9,6 +9,7 @@ after construction; every operation returns a new graph.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -105,6 +106,7 @@ class MetricGraph:
                 adj[rec.v].append(DirectedEdge(eid, True))
         self._adj = {v: tuple(sorted(out)) for v, out in adj.items()}
         self._next: dict[DirectedEdge, tuple[DirectedEdge, ...]] = {}
+        self._shortest: dict[int, dict[int, tuple[DirectedEdge, ...]]] = {}
 
         # Common denominator so path lengths can be summed as plain ints.
         scale = math.lcm(*(rec.length.denominator for rec in recs.values())) if recs else 1
@@ -148,6 +150,32 @@ class MetricGraph:
             back = step.reverse()
             self._next[step] = tuple(s for s in self.out_steps(self.step_head(step)) if s != back)
         return self._next[step]
+
+    def shortest_steps(self, u: int) -> dict[int, tuple[DirectedEdge, ...]]:
+        """Steps of a shortest path from `u` to every vertex it reaches, the
+        lexicographically least among equal lengths: one Dijkstra over
+        `(length, steps)` keys, run to the end and cached per source (do not
+        modify the table).  A settled key is final, so each path equals the
+        one a search stopped at that vertex returns."""
+        if u not in self._shortest:
+            best = {u: (0, ())}
+            heap = [(0, (), u)]
+            settled: dict[int, tuple[DirectedEdge, ...]] = {}
+            while heap:
+                dist, steps, x = heapq.heappop(heap)
+                if x in settled:
+                    continue
+                settled[x] = steps
+                for step in self.out_steps(x):
+                    w = self.step_head(step)
+                    if w in settled:
+                        continue
+                    cand = (dist + self._scaled[step.edge], steps + (step,))
+                    if w not in best or cand < best[w]:
+                        best[w] = cand
+                        heapq.heappush(heap, (cand[0], cand[1], w))
+            self._shortest[u] = settled
+        return self._shortest[u]
 
     def step_tail(self, step: DirectedEdge) -> int:
         rec = self.edge(step.edge)
@@ -391,10 +419,11 @@ def read_graph(text: str) -> MetricGraph:
                     raise GraphError("repeated graph header")
                 name = fields[1] if len(fields) > 1 else "g"
             elif kind == "vertex":
-                vertices.append(int(fields[1]))
+                _, v = fields  # ValueError on a missing or extra field
+                vertices.append(int(v))
             elif kind == "edge":
-                eid, u, v = int(fields[1]), int(fields[2]), int(fields[3])
-                length = parse_length(fields[4])
+                _, eid, u, v, length = fields
+                eid, u, v, length = int(eid), int(u), int(v), parse_length(length)
                 if length <= 0:
                     raise GraphError(f"non-positive length on edge {eid}")
                 rows.append((eid, u, v, length))

@@ -12,7 +12,6 @@ Concatenation helpers take their arguments in traversal order throughout.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -277,31 +276,16 @@ def shortest_path(g: MetricGraph, u: int, v: int) -> EdgePath:
 
     Among equal-length paths the one with lexicographically least directed
     edge sequence is returned, so the output is deterministic; it is always
-    reduced (a minimizer cannot backtrack).
+    reduced (a minimizer cannot backtrack).  One search per source serves
+    every target (`MetricGraph.shortest_steps`).
     """
-    if not g.has_vertex(u):
-        raise GraphError(f"unknown vertex id {u}")
-    if not g.has_vertex(v):
-        raise GraphError(f"unknown vertex id {v}")
-    best: dict[int, tuple[int, tuple[DirectedEdge, ...]]] = {u: (0, ())}
-    heap: list[tuple[int, tuple[DirectedEdge, ...], int]] = [(0, (), u)]
-    settled: set[int] = set()
-    while heap:
-        dist, steps, x = heapq.heappop(heap)
-        if x in settled:
-            continue
-        settled.add(x)
-        if x == v:
-            return EdgePath(g, u, steps)
-        for step in g.out_steps(x):
-            w = g.step_head(step)
-            if w in settled:
-                continue
-            cand = (dist + g.scaled_length(step.edge), steps + (step,))
-            if w not in best or cand < best[w]:
-                best[w] = cand
-                heapq.heappush(heap, (cand[0], cand[1], w))
-    raise GraphError(f"vertex {v} is unreachable from {u}")
+    for x in (u, v):
+        if not g.has_vertex(x):
+            raise GraphError(f"unknown vertex id {x}")
+    steps = g.shortest_steps(u).get(v)
+    if steps is None:
+        raise GraphError(f"vertex {v} is unreachable from {u}")
+    return EdgePath(g, u, steps)
 
 
 def graph_distance(g: MetricGraph, u: int, v: int) -> Fraction:

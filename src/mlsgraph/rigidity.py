@@ -234,13 +234,9 @@ def recovered_length(l2, hom: Hom, pair: DistinguishedPair) -> Fraction:
 
 # -- transporting distinguished paths -----------------------------------
 
-def _check_pair_spectrum(basis2: Basis, hom: Hom, pair: DistinguishedPair) -> None:
-    l1a, l1b = pair.loop_lengths
-    queries = ((pair.word1, l1a), (pair.word2, l1b), (pair.cross_word, pair.cross_length))
-    for w, expected in queries:
-        got = marked_length(basis2, apply_hom(hom, w))
-        if got != expected:
-            raise SpectrumMismatchError(w, expected, got)
+def _check_spectrum(w: Word, expected: Fraction, got: Fraction) -> None:
+    if got != expected:
+        raise SpectrumMismatchError(w, expected, got)
 
 
 def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
@@ -253,16 +249,20 @@ def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
     common terminal run into it followed by the maximal common initial run
     out of it (either may be empty, since the basepoint may land anywhere on
     the image path).  Its length must equal the recovered length exactly.
+
+    The three spectrum values are read off the image loops: the cyclically
+    reduced cores of loop1, loop2 and loop1^-1 loop2 (the cross word's loop).
     """
-    _check_pair_spectrum(basis2, hom, pair)
     g2 = basis2.graph
-    based = []
-    conj = []
-    for w in (pair.word1, pair.word2):
-        loop = word_to_loop(basis2, apply_hom(hom, w))
-        b, c = cyclic_reduce_based(loop)
+    loops, based, conj = [], [], []
+    for w, expected in zip((pair.word1, pair.word2), pair.loop_lengths):
+        loops.append(word_to_loop(basis2, apply_hom(hom, w)))
+        b, c = cyclic_reduce_based(loops[-1])
+        _check_spectrum(w, expected, b.length)
         based.append(b)
         conj.append(c)
+    cross, _ = cyclic_reduce_based(loops[0].reverse().then(loops[1]))
+    _check_spectrum(pair.cross_word, pair.cross_length, cross.length)
 
     long_i = 0 if len(conj[0].steps) >= len(conj[1].steps) else 1
     short_i = 1 - long_i
@@ -622,10 +622,7 @@ def _spectrum_sweep(basis1: Basis, basis2: Basis, hom: Hom, max_len: int,
             continue
         checked.add(key)
         checked.add(canonical_cyclic_word(invert_word(key)))
-        expected = marked_length(basis1, w)
-        got = marked_length(basis2, apply_hom(hom, w))
-        if got != expected:
-            raise SpectrumMismatchError(w, expected, got)
+        _check_spectrum(w, marked_length(basis1, w), marked_length(basis2, apply_hom(hom, w)))
 
 
 def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,

@@ -85,6 +85,15 @@ def test_malformed_graph_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("line, kind", [("edge 2 0 1 3 /2", "edge"), ("vertex 1 7", "vertex")])
+def test_extra_field_is_usage_error(tmp_path, capsys, line, kind):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(THETA_TEXT + line + "\n")
+    code, out, err = run(capsys, "core", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: line 7: malformed {kind!r} line\n"
+
+
 def test_core_output(theta_file, capsys):
     code, out, _ = run(capsys, "core", theta_file)
     assert code == 0

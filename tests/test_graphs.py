@@ -217,6 +217,20 @@ def test_read_graph_rejects_bad_input():
         read_graph("graph g\nvertex 0\nvertex 0\n")  # duplicate id
 
 
+@pytest.mark.parametrize("line, kind", [
+    ("edge 0 0 1 1 /2", "edge"),     # a length split by a space
+    ("edge 0 0 1 1 2", "edge"),
+    ("edge 0 0 1", "edge"),
+    ("vertex 1 7", "vertex"),
+    ("vertex", "vertex"),
+])
+def test_read_graph_rejects_wrong_field_count(line, kind):
+    text = f"graph g\nvertex 0\nvertex 1\n{line}\n"
+    with pytest.raises(GraphError) as err:
+        read_graph(text)
+    assert str(err.value) == f"line 4: malformed {kind!r} line"
+
+
 def test_read_graph_ignores_comments(theta):
     text = write_graph(theta, extra_comments=["truth branch 0 1"])
     assert write_graph(read_graph(text)) == write_graph(theta)

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from helpers import c08_negative
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlsgraph import rigidity
+from mlsgraph import fungroup, rigidity
 from mlsgraph import (Hom, IsometryCertificate, MetricGraph, ReconstructionFailure,
                       RigidityError, branch_point_map, brute_force_isometry, compute_core,
                       disguise, distinguishing_pair, extend_isometry, identity_hom,
@@ -125,6 +128,61 @@ def test_transport_pair_independence(pendant_theta):
     nu0 = transport_path(core, basis, hom, pair0)
     nu1 = transport_path(core, basis, hom, pair1)
     assert nu0 == nu1
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), vertices=st.integers(2, 6), extra=st.integers(2, 5),
+       perturbed=st.booleans())
+def test_transport_reads_the_target_spectrum(seed, vertices, extra, perturbed):
+    # Transport reads l2 of word1, word2 and the cross word off the image
+    # loops it builds; each must equal the target's `marked_length`, also on
+    # a c08-style negative, where a read may end in a mismatch.
+    g = random_graph(seed, vertices, extra, 5)
+    inst = disguise(g, seed + 1)
+    g2, hom = c08_negative(g, inst, seed) if perturbed else (inst.graph, inst.hom)
+    core1, core2 = compute_core(g), compute_core(g2)
+    read = []
+    real = rigidity._check_spectrum
+
+    def recording(w, expected, got):
+        read.append((w, got))
+        real(w, expected, got)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rigidity, "_check_spectrum", recording)
+        for seg in core1.segments:
+            read.clear()
+            pair = distinguishing_pair(core1, seg.path, hom.source)
+            try:
+                transport_path(core2, hom.target, hom, pair)
+            except RigidityError:
+                assert perturbed
+            words = (pair.word1, pair.word2, pair.cross_word)
+            want = [(w, marked_length(hom.target, apply_hom(hom, w))) for w in words]
+            assert read == want[:len(read)]
+            if len(read) < 3:  # the last value read failed its check
+                assert read[-1][1] != (*pair.loop_lengths, pair.cross_length)[len(read) - 1]
+
+
+def test_branch_map_builds_two_loops_per_transport(monkeypatch):
+    counts = dict.fromkeys(("marked_length", "word_to_loop", "transport_path"), 0)
+
+    def counting(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        return counted
+
+    for module in (rigidity, fungroup):
+        for name in counts:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    g = random_graph(4, 6, 5, 9)
+    inst = disguise(g, 4)
+    core1 = compute_core(g)
+    branch_point_map(core1, inst.hom.source, compute_core(inst.graph), inst.hom.target, inst.hom)
+    assert counts == {"marked_length": 0, "word_to_loop": 2 * len(core1.segments),
+                      "transport_path": len(core1.segments)}
 
 
 # -- branch map and certificates ------------------------------------------------

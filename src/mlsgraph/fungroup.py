@@ -232,7 +232,7 @@ def word_to_loop(basis: Basis, w: Word) -> EdgePath:
             raise WordError(f"generator index {letter} out of range")
         block = basis._gen_blocks[letter]
         for step in block:
-            if steps and steps[-1] == step.reverse():
+            if steps and steps[-1].edge == step.edge and steps[-1].rev != step.rev:
                 steps.pop()
             else:
                 steps.append(step)

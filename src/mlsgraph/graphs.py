@@ -13,6 +13,7 @@ import heapq
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -120,8 +121,9 @@ class MetricGraph:
     def vertex_ids(self) -> frozenset[int]:
         return self._vertices
 
-    @property
+    @cached_property
     def edge_ids(self) -> frozenset[int]:
+        """Edge ids; the frozenset is built on first use and kept."""
         return frozenset(self._edges)
 
     def edge(self, eid: int) -> EdgeRecord:
@@ -178,12 +180,18 @@ class MetricGraph:
         return self._shortest[u]
 
     def step_tail(self, step: DirectedEdge) -> int:
-        rec = self.edge(step.edge)
-        return rec.v if step.rev else rec.u
+        try:
+            rec = self._edges[step[0]]
+        except KeyError:
+            raise GraphError(f"unknown edge id {step[0]}") from None
+        return rec.v if step[1] else rec.u
 
     def step_head(self, step: DirectedEdge) -> int:
-        rec = self.edge(step.edge)
-        return rec.u if step.rev else rec.v
+        try:
+            rec = self._edges[step[0]]
+        except KeyError:
+            raise GraphError(f"unknown edge id {step[0]}") from None
+        return rec.u if step[1] else rec.v
 
     def length(self, eid: int) -> Fraction:
         return self.edge(eid).length
@@ -390,7 +398,10 @@ def random_graph(seed: int, vertices: int, extra_edges: int, length_bound: int,
 # -- text format ------------------------------------------------------
 
 def write_graph(g: MetricGraph, extra_comments: Iterable[str] = ()) -> str:
-    """Canonical line-oriented text form of a graph."""
+    """Canonical line-oriented text form of a graph.  The name must be one
+    non-empty field without `#`, so that `read_graph` gives it back."""
+    if not g.name or any(c.isspace() or c == "#" for c in g.name):
+        raise GraphError(f"graph name {g.name!r} is empty or holds whitespace or '#'")
     lines = [f"graph {g.name}"]
     for v in sorted(g.vertex_ids):
         lines.append(f"vertex {v}")
@@ -417,7 +428,8 @@ def read_graph(text: str) -> MetricGraph:
             if kind == "graph":
                 if name is not None:
                     raise GraphError("repeated graph header")
-                name = fields[1] if len(fields) > 1 else "g"
+                # A bare header names the graph `g`; ValueError on an extra field.
+                _, name = fields if len(fields) > 1 else (kind, "g")
             elif kind == "vertex":
                 _, v = fields  # ValueError on a missing or extra field
                 vertices.append(int(v))

@@ -36,10 +36,16 @@ class EdgePath:
         if not g.has_vertex(self.start):
             raise PathError(f"unknown start vertex {self.start}")
         at = self.start
+        edges = g._edges
         for step in self.steps:
-            if g.step_tail(step) != at:
+            eid, rev = step
+            try:
+                u, v, _ = edges[eid]
+            except KeyError:
+                raise GraphError(f"unknown edge id {eid}") from None
+            if (v if rev else u) != at:
                 raise PathError(f"steps do not chain at vertex {at} ({step})")
-            at = g.step_head(step)
+            at = u if rev else v
 
     @property
     def end(self) -> int:
@@ -49,8 +55,8 @@ class EdgePath:
 
     @property
     def length(self) -> Fraction:
-        g = self.graph
-        return Fraction(sum(g.scaled_length(s.edge) for s in self.steps), g.length_scale)
+        scaled = self.graph._scaled
+        return Fraction(sum(scaled[eid] for eid, _ in self.steps), self.graph._scale)
 
     def is_empty(self) -> bool:
         return not self.steps
@@ -145,13 +151,13 @@ def least_rotation(seq: tuple) -> tuple:
 
 def is_reduced(p: EdgePath) -> bool:
     """True iff no step is immediately followed by its reverse."""
-    return all(nxt != step.reverse() for step, nxt in zip(p.steps, p.steps[1:]))
+    return not any(a.edge == b.edge and a.rev != b.rev for a, b in zip(p.steps, p.steps[1:]))
 
 
 def reduce_steps(steps: Iterable[DirectedEdge]) -> list[DirectedEdge]:
     stack: list[DirectedEdge] = []
     for step in steps:
-        if stack and stack[-1] == step.reverse():
+        if stack and stack[-1].edge == step.edge and stack[-1].rev != step.rev:
             stack.pop()
         else:
             stack.append(step)
@@ -179,7 +185,7 @@ def cyclic_reduce_based(loop: EdgePath) -> tuple[EdgePath, EdgePath]:
         raise PathError("not a loop: endpoints differ")
     steps = reduce_steps(loop.steps)
     peeled: list[DirectedEdge] = []
-    while len(steps) >= 2 and steps[-1] == steps[0].reverse():
+    while len(steps) >= 2 and steps[-1].edge == steps[0].edge and steps[-1].rev != steps[0].rev:
         peeled.append(steps[0])
         steps = steps[1:-1]
     conjugator = EdgePath(loop.graph, loop.start, tuple(peeled))

@@ -26,6 +26,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
+from typing import Iterator
 
 from .fungroup import (Basis, Hom, Word, apply_hom, canonical_cyclic_word, concat_words,
                        cyclic_reduce_word, enumerate_reduced_words, format_word, invert_word,
@@ -104,37 +106,34 @@ class DistinguishedPair:
         return self.loop1.length + self.loop2.length - 2 * self.path.length
 
 
-def _route_tree(core: MetricGraph, first: DirectedEdge) -> dict[DirectedEdge, DirectedEdge | None]:
-    """Breadth-first tree of the reduced routes that start with `first`: every
-    directed edge reached maps to the step before it (None for `first`).  As
-    every step costs 1 and successors come in sorted order, each state is first
-    reached along its lexicographically least shortest route."""
-    parent: dict[DirectedEdge, DirectedEdge | None] = {first: None}
-    queue = deque([first])
-    while queue:
-        state = queue.popleft()
-        for nxt in core.next_steps(state):
-            if nxt not in parent:
-                parent[nxt] = state
-                queue.append(nxt)
-    return parent
+def _frames(core: MetricGraph, firsts, lasts) -> Iterator[tuple]:
+    """Yield (d, a, route) for every first step d and last step a, in that
+    order, where route is the least shortest reduced route from d to a; pairs
+    that no route joins are left out.
 
-
-def _frames(core: MetricGraph, firsts, lasts) -> list[tuple]:
-    """(d, a, route) for every first step d and last step a, in that order,
-    where route is the least shortest reduced route from d to a; pairs that
-    no route joins are left out.  One route tree serves each d."""
-    frames = []
+    The routes from d are read off one breadth-first tree of non-backtracking
+    steps, which maps every directed edge reached to the step before it.  As
+    every step costs 1 and successors come in sorted order, each state is
+    first reached along its lexicographically least shortest route.  The tree
+    is started only when a frame from d is asked for, and grown only until
+    the wanted a is reached or its queue is empty; BFS reaches states in a
+    fixed order, so a tree stopped early holds the same parent pointers."""
     for d in firsts:
-        parent = _route_tree(core, d)
+        parent: dict[DirectedEdge, DirectedEdge | None] = {d: None}
+        queue = deque([d])
         for a in lasts:
+            while a not in parent and queue:
+                state = queue.popleft()
+                for nxt in core.next_steps(state):
+                    if nxt not in parent:
+                        parent[nxt] = state
+                        queue.append(nxt)
             if a not in parent:
                 continue
             route = [a]
             while parent[route[-1]] is not None:
                 route.append(parent[route[-1]])
-            frames.append((d, a, tuple(reversed(route))))
-    return frames
+            yield d, a, tuple(reversed(route))
 
 
 def _pair_candidates(core: CoreDecomposition, p: EdgePath):
@@ -159,9 +158,21 @@ def _pair_candidates(core: CoreDecomposition, p: EdgePath):
 
     outs_y = [d for d in cg.out_steps(y) if d != last_p.reverse()]
     ins_x = [a for a in into_x if a != first_p.reverse()]
-    frames = _frames(cg, outs_y, ins_x)
-    for d1, a1, r1 in frames:
-        for d2, a2, r2 in frames:
+    source, frames = _frames(cg, outs_y, ins_x), []
+
+    def pulled():
+        """The frames in order, pulling the next one from `source` into
+        `frames` only when an iteration first gets past the end."""
+        for k in count():
+            if k == len(frames):
+                frame = next(source, None)
+                if frame is None:
+                    return
+                frames.append(frame)
+            yield frames[k]
+
+    for d1, a1, r1 in pulled():
+        for d2, a2, r2 in pulled():
             if d1 == d2 or a1 == a2:
                 continue
             loop1 = EdgePath(cg, x, p.steps + r1)
@@ -188,7 +199,7 @@ def distinguishing_pair(core: CoreDecomposition, p: EdgePath, basis: Basis,
         raise RigidityError("circle-case", "core has no branch points")
     if p.is_empty():
         raise RigidityError("bad-path", "empty distinguished path")
-    if not p.support() <= set(core.core.edge_ids):
+    if not p.support() <= core.core.edge_ids:
         raise RigidityError("bad-path", "path leaves the core")
     if not is_reduced(p):
         raise RigidityError("bad-path", "path is not reduced")
@@ -308,7 +319,7 @@ def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
         raise RigidityError(
             "claim2-length",
             f"common subpath has length {nu.length}, expected {pair.path_length}")
-    if not nu.support() <= set(core2.core.edge_ids):
+    if not nu.support() <= core2.core.edge_ids:
         raise RigidityError("claim2-length", "image path leaves the target core")
     return nu
 

@@ -2,8 +2,11 @@
 
 `reference_route` is the uniform-cost search that `rigidity._pair_candidates`
 ran once per (first step, last step) frame before it read every route off
-one breadth-first tree per first step.  The differential tests compare the
-tree's routes against it.  Do not update it to follow the library.
+one breadth-first tree per first step.  `reference_frames` is the eager
+frame list built from it, and `reference_arc_pairs` the order in which an
+arc paired those frames.  The differential tests compare the library's
+routes, frames and pairs against them.  Do not update them to follow the
+library.
 """
 
 import heapq
@@ -33,3 +36,20 @@ def reference_route(core, first, last):
                 best[nxt] = cand
                 heapq.heappush(heap, (cand[0], cand[1], nxt))
     return None
+
+
+def reference_frames(core, firsts, lasts):
+    """Every (d, a, route) in (d, a) order, leaving out pairs with no route."""
+    frames = []
+    for d in firsts:
+        for a in lasts:
+            route = reference_route(core, d, a)
+            if route is not None:
+                frames.append((d, a, route))
+    return frames
+
+
+def reference_arc_pairs(frames):
+    """The frame pairs an arc tries, in (i, j) order: distinct d and distinct a."""
+    return [(f1, f2) for f1 in frames for f2 in frames
+            if f1[0] != f2[0] and f1[1] != f2[1]]

@@ -94,6 +94,26 @@ def test_extra_field_is_usage_error(tmp_path, capsys, line, kind):
     assert err == f"error: line 7: malformed {kind!r} line\n"
 
 
+@pytest.mark.parametrize("header", ["graph two words", "graph a b # c"])
+def test_extra_graph_name_field_is_usage_error(tmp_path, capsys, header):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(THETA_TEXT.replace("graph theta", header))
+    code, out, err = run(capsys, "core", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: malformed 'graph' line\n"
+
+
+def test_graph_name_survives_disguise_and_core(tmp_path, capsys):
+    src = tmp_path / "g.txt"
+    src.write_text(THETA_TEXT.replace("graph theta", "graph my-theta_2"))
+    g2, hom = tmp_path / "g2.txt", tmp_path / "hom.txt"
+    assert run(capsys, "disguise", str(src), "--seed", "3", "--out-graph", str(g2),
+               "--out-hom", str(hom))[0] == 0
+    assert g2.read_text().startswith("graph my-theta_2-d3\n")
+    code, out, _ = run(capsys, "core", str(g2))
+    assert code == 0 and out.startswith("graph my-theta_2-d3-core\n")
+
+
 def test_core_output(theta_file, capsys):
     code, out, _ = run(capsys, "core", theta_file)
     assert code == 0

@@ -231,6 +231,27 @@ def test_read_graph_rejects_wrong_field_count(line, kind):
     assert str(err.value) == f"line 4: malformed {kind!r} line"
 
 
+@pytest.mark.parametrize("name", ["g", "rand-3", "theta-d7-core", "a.b_c", "\u00e9t\u00e9"])
+def test_graph_name_round_trips(name):
+    g = MetricGraph([0, 1], [(0, 0, 1, 1)], name=name)
+    assert read_graph(write_graph(g)).name == name
+
+
+@pytest.mark.parametrize("name", ["two words", "a#b", "", "tab\there", "line\nbreak", "#"])
+def test_write_graph_rejects_names_the_format_cannot_hold(name):
+    with pytest.raises(GraphError) as err:
+        write_graph(MetricGraph([0], [], name=name))
+    assert str(err.value) == f"graph name {name!r} is empty or holds whitespace or '#'"
+
+
+def test_read_graph_header_takes_one_name():
+    with pytest.raises(GraphError) as err:
+        read_graph("graph two words\nvertex 0\n")
+    assert str(err.value) == "line 1: malformed 'graph' line"
+    assert read_graph("graph\nvertex 0\n").name == "g"  # a bare header
+    assert read_graph("graph a#b\nvertex 0\n").name == "a"  # `#` starts a comment
+
+
 def test_read_graph_ignores_comments(theta):
     text = write_graph(theta, extra_comments=["truth branch 0 1"])
     assert write_graph(read_graph(text)) == write_graph(theta)

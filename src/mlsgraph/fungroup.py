@@ -363,6 +363,10 @@ def identity_hom(basis: Basis) -> Hom:
 # -- hom file format --------------------------------------------------
 
 def write_hom(h: Hom, name: str = "phi") -> str:
+    """Text form of a hom.  The name must be one non-empty field without
+    `#`, so that `read_hom` accepts the header."""
+    if not name or any(c.isspace() or c == "#" for c in name):
+        raise WordError(f"hom name {name!r} is empty or holds whitespace or '#'")
     lines = [f"hom {name}"]
     for k, w in enumerate(h.images, start=1):
         lines.append(f"gen g{k} = {format_word(w)}")
@@ -376,8 +380,9 @@ def write_hom(h: Hom, name: str = "phi") -> str:
 def read_hom(text: str, source: Basis, target: Basis) -> Hom:
     """Parse the hom file format against the given bases.
 
-    Expects `gen g<k> = <word>` lines in index order, with an optional
-    `inverse` section in target-generator order.
+    Expects a `hom [<name>]` header as the first directive, then
+    `gen g<k> = <word>` lines in index order, with an optional `inverse`
+    section in target-generator order.
     """
     images: list[Word] = []
     inverse_images: list[Word] | None = None
@@ -387,10 +392,19 @@ def read_hom(text: str, source: Basis, target: Basis) -> Hom:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("hom"):
+        fields = line.split()
+        if fields[0] == "hom":
+            if saw_header:
+                raise WordError(f"line {lineno}: repeated hom header")
+            if images or inverse_images is not None:
+                raise WordError(f"line {lineno}: hom header must be the first directive")
+            if len(fields) > 2:
+                raise WordError(f"line {lineno}: malformed hom header")
             saw_header = True
             continue
         if line == "inverse":
+            if inverse_images is not None:
+                raise WordError(f"line {lineno}: repeated inverse section")
             inverse_images = []
             current = inverse_images
             continue

@@ -69,6 +69,12 @@ class MetricGraph:
     because the representation cannot hold them.
     """
 
+    # Built once per graph, on first use, by `hull.compute_core` (the parts of
+    # the decomposition, not the decomposition: it holds the graph) and by
+    # `oracle._transition_tables`; class defaults, so construction pays nothing.
+    _core_parts: tuple | None = None
+    _transitions: tuple | None = None
+
     def __init__(
         self,
         vertices: Iterable[int],

@@ -66,7 +66,14 @@ def compute_core(g: MetricGraph) -> CoreDecomposition:
     """Iteratively delete degree-1 vertices; decompose what remains.
 
     The core is empty iff `g` is a tree.  Raises on disconnected input.
+    Computed once per graph: later calls wrap the same parts.
     """
+    if g._core_parts is None:
+        g._core_parts = _decompose(g)
+    return CoreDecomposition(g, *g._core_parts)
+
+
+def _decompose(g: MetricGraph):
     if not g.is_connected():
         raise GraphError("disconnected")
     alive_v = set(g.vertex_ids)
@@ -99,8 +106,7 @@ def compute_core(g: MetricGraph) -> CoreDecomposition:
     # its own (unattached) complement.
     complement = _complement_components(g, alive_v, alive_e) if alive_v else ()
     branch = frozenset(v for v in alive_v if degree[v] >= 3)
-    segments = _segments(core, branch)
-    return CoreDecomposition(g, core, complement, branch, segments)
+    return core, complement, branch, _segments(core, branch)
 
 
 def _find(parent: dict[int, int], x: int) -> int:
@@ -240,13 +246,10 @@ def core_equals_loop_union(g: MetricGraph, max_edges: int, budget: int | None = 
     and compares the union of their supports with the core's edge set.
     Equality is guaranteed once max_edges >= 2 * |E(core)|.
     """
-    from .oracle import enumerate_cyclic_loops
+    from .oracle import _enumerate_loop_codes
 
     decomp = compute_core(g)
-    union: set[int] = set()
-    for loop in enumerate_cyclic_loops(g, max_edges, budget=budget):
-        union.update(loop.support())
-    return union == set(decomp.core.edge_ids)
+    return _edges_of(_enumerate_loop_codes(g, max_edges, budget)) == set(decomp.core.edge_ids)
 
 
 def core_loop_union_agrees(g: MetricGraph, budget: int | None = None) -> bool:
@@ -257,15 +260,18 @@ def core_loop_union_agrees(g: MetricGraph, budget: int | None = None) -> bool:
     the comparison (the union is monotone in the depth, so equality there
     settles it for every larger budget as well).
     """
-    from .oracle import _enumerate_loop_codes, covering_loop_depth, enumerate_cyclic_loops
+    from .oracle import _enumerate_loop_codes, covering_loop_depth
 
     decomp = compute_core(g)
     core_edges = set(decomp.core.edge_ids)
     if not core_edges:
-        return not enumerate_cyclic_loops(g, 2, budget=budget)
+        return not _enumerate_loop_codes(g, 2, budget)
     depth = covering_loop_depth(g, core_edges)
     if depth == 0:
         return False  # some core edge lies on no loop at all
-    union = {code >> 1 for codes in _enumerate_loop_codes(g, depth, budget)
-             for code in codes}
-    return union == core_edges
+    return _edges_of(_enumerate_loop_codes(g, depth, budget)) == core_edges
+
+
+def _edges_of(walks) -> set[int]:
+    """Edge ids on the given closed walks of step codes (2*edge + reversed)."""
+    return {code >> 1 for walk in walks for code in walk}

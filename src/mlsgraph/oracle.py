@@ -33,43 +33,49 @@ def enumerate_cyclic_loops(g: MetricGraph, max_edges: int,
                            budget: int | None = None) -> list[CyclicPath]:
     """All cyclically reduced cyclic loops with at most `max_edges` edges.
 
-    Oriented classes, one canonical rotation each, in deterministic order.
-    Depth-first search over non-backtracking closed walks; a walk is only
-    extended with steps not below its first step, so each canonical rotation
-    is generated from its least step.
+    Oriented classes, one canonical rotation each, in deterministic order:
+    the closed walks of `_enumerate_loop_codes`, each put in its least
+    rotation, without repeats.
     """
-    found = _enumerate_loop_codes(g, max_edges, budget)
-    loops = [
-        CyclicPath(g, tuple(DirectedEdge(c >> 1, bool(c & 1)) for c in codes))
-        for codes in found]  # codes are already canonical rotations
+    found = {least_rotation(walk) for walk in _enumerate_loop_codes(g, max_edges, budget)}
+    loops = [CyclicPath(g, tuple(DirectedEdge(c >> 1, bool(c & 1)) for c in codes))
+             for codes in found]
     loops.sort(key=lambda c: (len(c.steps), c.steps))
     return loops
 
 
 def _transition_tables(g: MetricGraph):
-    """Directed-edge codes (2*edge + reversed), head vertices, and
-    non-backtracking successor lists."""
-    all_steps = sorted({s for v in g.vertex_ids for s in g.out_steps(v)})
-    code = {d: 2 * d.edge + d.rev for d in all_steps}
+    """Directed-edge codes (2*edge + reversed) in order, head and tail
+    vertices, and non-backtracking successor lists; built once per graph."""
+    if g._transitions is None:
+        g._transitions = _build_transition_tables(g)
+    return g._transitions
+
+
+def _build_transition_tables(g: MetricGraph):
     head = {}
+    tail = {}
     succ = {}
-    for d in all_steps:
-        c = code[d]
+    for d in sorted({s for v in g.vertex_ids for s in g.out_steps(v)}):
+        c = 2 * d.edge + d.rev
         head[c] = g.step_head(d)
-        succ[c] = tuple(code[s] for s in g.out_steps(head[c]) if s != d.reverse())
-    tails = {code[d]: g.step_tail(d) for d in all_steps}
-    return sorted(head), head, tails, succ
+        tail[c] = g.step_tail(d)
+        succ[c] = tuple(2 * s.edge + s.rev for s in g.next_steps(d))
+    return sorted(head), head, tail, succ
 
 
 def _enumerate_loop_codes(g: MetricGraph, max_edges: int,
-                          budget: int | None = None) -> set[tuple[int, ...]]:
-    """Canonical rotations of the closed non-backtracking walks of at most
-    `max_edges` steps; one budget step per walk visited.  Depth-first over a
-    stack of successor iterators, so no depth hits the recursion limit."""
+                          budget: int | None = None) -> list[tuple[int, ...]]:
+    """The cyclically reduced closed walks of at most `max_edges` steps that
+    start at their least step, as code tuples in the order they are found:
+    not in canonical form, and a loop whose least step occurs more than once
+    appears once per rotation that starts there.  One budget step per walk
+    visited.  Depth-first over a stack of successor iterators, so no depth
+    hits the recursion limit."""
     limit = default_budget() if budget is None else budget
     used = 0
     codes, head, tail, succ = _transition_tables(g)
-    found: set[tuple[int, ...]] = set()
+    found: list[tuple[int, ...]] = []
     for first in codes:
         base = tail[first]
         walk: list[int] = []
@@ -88,7 +94,7 @@ def _enumerate_loop_codes(g: MetricGraph, max_edges: int,
             if used > limit:
                 raise BudgetExceededError(f"oracle budget of {limit} steps exceeded")
             if head[step] == base and step != first ^ 1:
-                found.add(least_rotation(tuple(walk)))
+                found.append(tuple(walk))
             if len(walk) == max_edges:
                 walk.pop()
             else:

@@ -1,6 +1,6 @@
 """Shared test utilities: random reduced paths and their re-expansions,
-homomorphisms composed with Nielsen moves, and the acceptance suite's
-disguise and negative-instance streams."""
+homomorphisms composed with Nielsen moves, the acceptance suite's
+disguise and negative-instance streams, and malformed hom files."""
 
 from fractions import Fraction
 
@@ -91,3 +91,23 @@ def c08_negative(g, inst, k):
     g2p = MetricGraph(g2.vertex_ids, rows, name="perturbed")
     return g2p, Hom(spanning_tree(g), spanning_tree(g2p), inst.hom.images,
                     inst.hom.inverse_images)
+
+
+# Hom files (of rank 2) that `read_hom` and `mlsgraph reconstruct` refuse,
+# with the message.
+BAD_HOM_FILES = [
+    ("gen g1 = g1\nhom phi\ngen g2 = g2\n",
+     "line 2: hom header must be the first directive"),
+    ("gen g1 = g1\ngen g2 = g2\ninverse\nhom phi\n",
+     "line 4: hom header must be the first directive"),
+    ("hom phi\nhom phi\ngen g1 = g1\ngen g2 = g2\n", "line 2: repeated hom header"),
+    ("hom phi\ngen g1 = g1\ngen g2 = g2\nhom again\n", "line 4: repeated hom header"),
+    ("hom phi extra\ngen g1 = g1\ngen g2 = g2\n", "line 1: malformed hom header"),
+    ("homphi\ngen g1 = g1\ngen g2 = g2\n", "line 1: unknown directive"),
+    ("hom phi\ngen g1 = g1\ngen g2 = g2\nhomework is ignored\n", "line 4: unknown directive"),
+    ("hom phi\ngen g1 = g1\ngen g2 = g2\ninverse\ngen g1 = g1\ngen g2 = g2\n"
+     "inverse\ngen g1 = g1\ngen g2 = g2\n", "line 7: repeated inverse section"),
+    ("hom phi\ngen g1 = g1\ngen g2 = g2\ninverse\ninverse\n",
+     "line 5: repeated inverse section"),
+    ("gen g1 = g1\ngen g2 = g2\n", "missing hom header"),
+]

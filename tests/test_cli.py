@@ -5,6 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from helpers import BAD_HOM_FILES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,6 +171,17 @@ def test_reconstruct_bad_generator_name_is_usage_error(theta_file, tmp_path, cap
     assert code == 2
     assert out == ""
     assert err == "error: line 2: bad generator name 'gx'\n"
+
+
+@pytest.mark.parametrize("text, message", BAD_HOM_FILES)
+def test_reconstruct_bad_hom_header_is_usage_error(theta_file, tmp_path, capsys, text,
+                                                   message):
+    hom = tmp_path / "phi.txt"
+    hom.write_text(text)
+    code, out, err = run(capsys, "reconstruct", theta_file, theta_file, str(hom))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_disguise_of_tree_rejected(tmp_path, capsys):

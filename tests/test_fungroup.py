@@ -1,4 +1,5 @@
 import pytest
+from helpers import BAD_HOM_FILES
 
 from mlsgraph import (Basis, GraphError, Hom, MetricGraph, WordError, apply_hom,
                       canonical_cyclic_word, format_word, identity_hom, loop_to_word,
@@ -261,6 +262,38 @@ def test_read_hom_requires_order(theta):
     bad = "hom h\ngen g2 = g1\ngen g1 = g2\n"
     with pytest.raises(WordError):
         read_hom(bad, b, b)
+
+
+@pytest.mark.parametrize("name", ["phi", "swap", "h-1"])
+@pytest.mark.parametrize("inverse", [None, ((2,), (-1,))])
+def test_write_read_hom_roundtrip(theta, name, inverse):
+    b = spanning_tree(theta)
+    h = Hom(b, b, ((-2,), (1,)), inverse)
+    text = write_hom(h, name=name)
+    back = read_hom(text, b, b)
+    assert (back.images, back.inverse_images) == (h.images, h.inverse_images)
+    assert write_hom(back, name=name) == text
+
+
+def test_read_hom_bare_header(theta):
+    b = spanning_tree(theta)
+    assert read_hom("# comment\n\n  hom  # named nothing\ngen g1 = g1\ngen g2 = g2\n",
+                    b, b).images == ((1,), (2,))
+
+
+@pytest.mark.parametrize("name", ["", "two words", "a#b", "tab\tname"])
+def test_write_hom_refuses_unreadable_names(theta, name):
+    b = spanning_tree(theta)
+    with pytest.raises(WordError, match="hom name"):
+        write_hom(Hom(b, b, ((1,), (2,))), name=name)
+
+
+@pytest.mark.parametrize("text, message", BAD_HOM_FILES)
+def test_read_hom_rejects_bad_headers(theta, text, message):
+    b = spanning_tree(theta)
+    with pytest.raises(WordError) as info:
+        read_hom(text, b, b)
+    assert str(info.value) == message
 
 
 from hypothesis import given, settings

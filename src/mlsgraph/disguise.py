@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fungroup import (Basis, Hom, Word, apply_hom, cyclic_reduce_word, format_word,
-                       invert_word, loop_to_word, parse_word, spanning_tree, word_to_loop)
+                       invert_word, loop_class_word, loop_to_word, parse_word, spanning_tree,
+                       word_to_loop)
 from .graphs import (DirectedEdge, MetricGraph, attach_tree, random_tree, read_graph_comments,
                      require_valid, subdivide_edge, subdivision_chain)
 from .hull import compute_core
-from .paths import EdgePath, reduce_path
+from .paths import EdgePath, PathError, chain_traversals, reduce_path
 
 
 class DisguiseError(ValueError):
@@ -106,8 +107,7 @@ def disguise(g: MetricGraph, seed: int) -> DisguisedInstance:
     images = []
     for k in range(1, basis1.rank + 1):
         image_loop = _map_path(g2, vertex_image, chains, word_to_loop(basis1, (k,)))
-        based = reduce_path(connector.then(image_loop).then(connector.reverse()))
-        images.append(loop_to_word(basis2, based))
+        images.append(loop_class_word(basis2, image_loop))
 
     inverse_images = _inverse_images(g, g2, basis1, basis2, connector, vertex_image, chains)
     hom = Hom(basis1, basis2, tuple(images), tuple(inverse_images))
@@ -131,34 +131,16 @@ def disguise(g: MetricGraph, seed: int) -> DisguisedInstance:
 def _inverse_images(g1: MetricGraph, g2: MetricGraph, basis1: Basis, basis2: Basis,
                     connector: EdgePath, vertex_image: dict[int, int],
                     chains: dict[int, tuple[DirectedEdge, ...]]) -> list[Word]:
-    lookup: dict[int, tuple[int, int]] = {}
-    for src, chain in chains.items():
-        for pos, s in enumerate(chain):
-            lookup[s.edge] = (src, pos)
+    where = {s.edge: (src, pos) for src, chain in chains.items() for pos, s in enumerate(chain)}
     preimage_start = {vertex_image[v]: v for v in g1.vertex_ids}
 
     def pull_back(loop: EdgePath) -> EdgePath:
-        steps: list[DirectedEdge] = []
-        raw = loop.steps
-        i = 0
-        while i < len(raw):
-            step = raw[i]
-            if step.edge not in lookup:
-                raise DisguiseError("internal error: image loop leaves the embedded graph")
-            src, pos = lookup[step.edge]
-            chain = chains[src]
-            n = len(chain)
-            if chain[pos] == step:
-                if pos != 0 or raw[i:i + n] != chain:
-                    raise DisguiseError("internal error: partial chain traversal")
-                steps.append(DirectedEdge(src, False))
-            else:
-                back = tuple(c.reverse() for c in reversed(chain))
-                if pos != n - 1 or raw[i:i + n] != back:
-                    raise DisguiseError("internal error: partial chain traversal")
-                steps.append(DirectedEdge(src, True))
-            i += n
-        return EdgePath(g1, preimage_start[loop.start], tuple(steps))
+        try:
+            traversals = chain_traversals(loop.steps, chains, where)
+        except PathError as exc:
+            raise DisguiseError(f"internal error: {exc}") from None
+        return EdgePath(g1, preimage_start[loop.start],
+                        tuple(DirectedEdge(src, backward) for src, backward in traversals))
 
     out = []
     for j in range(1, basis2.rank + 1):

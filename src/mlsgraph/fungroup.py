@@ -138,6 +138,7 @@ class Basis:
         repr=False, compare=False, default_factory=dict)
     _gen_blocks: dict[int, tuple[DirectedEdge, ...]] = field(
         repr=False, compare=False, default_factory=dict)
+    _gen_index: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def rank(self) -> int:
@@ -171,6 +172,8 @@ class Basis:
             blocks[idx] = tuple(reduce_steps(steps))
             blocks[-idx] = tuple(s.reverse() for s in reversed(blocks[idx]))
         object.__setattr__(self, "_gen_blocks", blocks)
+        object.__setattr__(self, "_gen_index",
+                           {eid: i for i, eid in enumerate(self.generators, start=1)})
 
     def _root_steps(self, v: int) -> list[DirectedEdge]:
         steps = []
@@ -243,22 +246,22 @@ def loop_to_word(basis: Basis, loop: EdgePath) -> Word:
     """Freely reduced word reading off the non-tree edges a based loop crosses."""
     if loop.start != basis.basepoint or not loop.is_closed():
         raise WordError("loop is not based at the basis basepoint")
-    index = {eid: i for i, eid in enumerate(basis.generators, start=1)}
-    letters = []
-    for step in loop.steps:
-        idx = index.get(step.edge)
-        if idx is not None:
-            letters.append(-idx if step.rev else idx)
-    return free_reduce(letters)
+    return loop_class_word(basis, loop)
 
 
 def loop_class_word(basis: Basis, loop: EdgePath) -> Word:
     """Word of a based loop anywhere in the graph, transported to the
-    basepoint along the spanning tree."""
+    basepoint along the spanning tree.  A tree path crosses no generator, so
+    this reads off the generators the loop itself crosses."""
     if not loop.is_closed():
         raise WordError("not a loop")
-    t = basis.tree_path(basis.basepoint, loop.start)
-    return loop_to_word(basis, t.then(loop).then(t.reverse()))
+    index = basis._gen_index
+    letters = []
+    for eid, rev in loop.steps:
+        idx = index.get(eid)
+        if idx is not None:
+            letters.append(-idx if rev else idx)
+    return free_reduce(letters)
 
 
 def marked_length(basis: Basis, w: Word) -> Fraction:
@@ -279,9 +282,21 @@ def spectrum_table(basis: Basis, max_len: int) -> list[tuple[Word, Fraction]]:
     """One row per conjugacy class of freely reduced words of length <= max_len.
 
     Keys are canonical cyclic words; rows are sorted by (word length, word).
+    Raises `BudgetExceededError`, before enumerating, when there are more
+    reduced words than the MLS_BUDGET enumeration budget.
     """
+    from .oracle import BudgetExceededError, default_budget
     if max_len < 1:
         raise WordError("max_len must be at least 1")
+    r, limit = basis.rank, default_budget()
+    if r == 0:
+        return []
+    # There are sum_{k <= n} 2r (2r-1)^(k-1) reduced words of length <= n; at
+    # rank >= 2 that exceeds the limit once n > limit.bit_length().
+    n = min(max_len, limit.bit_length() + 1)
+    if (2 * max_len if r == 1 else r * ((2 * r - 1) ** n - 1) // (r - 1)) > limit:
+        raise BudgetExceededError(
+            f"spectrum table up to length {max_len} exceeds the budget of {limit} words")
     rows: dict[Word, Fraction] = {}
     for w in enumerate_reduced_words(basis.rank, max_len):
         key = canonical_cyclic_word(w)

@@ -204,6 +204,30 @@ def cyclically_reduce(loop: EdgePath) -> tuple[CyclicPath | None, EdgePath]:
     return CyclicPath.from_steps(loop.graph, based.steps), conjugator
 
 
+def chain_traversals(steps: Sequence[DirectedEdge], chains, where: dict) -> list[tuple]:
+    """Split a step sequence into whole traversals of edge chains.
+
+    `chains[k]` is a chain of distinct directed edges and `where` maps every
+    edge id on a chain to (k, position along it).  Returns one (k, backward)
+    pair per traversal, in order; raises PathError at a step on no chain or
+    at a chain entered or left mid-way.
+    """
+    out = []
+    i = 0
+    while i < len(steps):
+        step = steps[i]
+        if step.edge not in where:
+            raise PathError(f"step {step} is on no chain")
+        k, pos = where[step.edge]
+        backward = chains[k][pos] != step
+        chain = _reversed_steps(chains[k]) if backward else chains[k]
+        if steps[i:i + len(chain)] != chain:  # a whole chain starts with `step`
+            raise PathError(f"step {step} enters a chain mid-way")
+        out.append((k, backward))
+        i += len(chain)
+    return out
+
+
 @dataclass(frozen=True)
 class ConcatDecomposition:
     """Cancellation decomposition of a two-path concatenation.

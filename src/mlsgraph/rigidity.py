@@ -9,7 +9,8 @@ is an exact rational identity:
     is paired with two loops that agree exactly along it and separate at
     both ends, so its length is recoverable from three spectrum values
     (the loops close up along least shortest reduced routes, all read off
-    one breadth-first tree of non-backtracking steps per first step);
+    one breadth-first tree of non-backtracking steps per first step, and
+    satisfy the recovery identity by construction);
   * transporting the pair through the isomorphism and intersecting the
     image loops recovers the corresponding path in the target core;
   * doing this once for every core segment matches up the segments, and
@@ -26,16 +27,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from typing import Iterator
 
 from .fungroup import (Basis, Hom, Word, apply_hom, canonical_cyclic_word, concat_words,
                        cyclic_reduce_word, enumerate_reduced_words, format_word, invert_word,
-                       loop_class_word, loop_to_word, marked_length, word_to_loop)
+                       loop_class_word, marked_length, word_to_loop)
 from .graphs import DirectedEdge, GraphError, MetricGraph, require_valid
 from .hull import CoreDecomposition, compute_core, is_circle
-from .paths import (EdgePath, PathError, cyclic_reduce_based, format_path, is_reduced,
-                    reduce_path, shortest_path)
+from .paths import (EdgePath, PathError, chain_traversals, cyclic_reduce_based, format_path,
+                    is_reduced, reduce_path, shortest_path)
 
 
 class RigidityError(ValueError):
@@ -79,7 +80,9 @@ class DistinguishedPair:
 
         l(cross class) = l(loop1) + l(loop2) - 2 l(path)
 
-    hold with exact equality (stored and verified in `cross_length`).
+    hold with exact equality by construction (see `distinguishing_pair`).
+    `cross_length` is its right-hand side, which `transport_path` checks
+    against the cross word's length in the target.
     """
 
     path: EdgePath
@@ -137,7 +140,8 @@ def _frames(core: MetricGraph, firsts, lasts) -> Iterator[tuple]:
 
 
 def _pair_candidates(core: CoreDecomposition, p: EdgePath):
-    """Yield verified (loop1, loop2, frame) triples in deterministic order.
+    """Yield (steps1, steps2, frame) triples in deterministic order: the step
+    tuples of two loops at `p.start` that run along `p` and then separate.
 
     A loop is `p` then a frame's route from a first step d that does not
     backtrack along `p` to a last step a that does not backtrack into it.
@@ -149,11 +153,11 @@ def _pair_candidates(core: CoreDecomposition, p: EdgePath):
     into_x = sorted(s.reverse() for s in cg.out_steps(x))
 
     if p.is_closed():
-        square = EdgePath(cg, x, p.steps + p.steps)
+        square = p.steps + p.steps
         firsts = [d for d in cg.out_steps(x) if d not in (last_p.reverse(), first_p)]
         lasts = [a for a in into_x if a not in (first_p.reverse(), last_p)]
         for d, a, route in _frames(cg, firsts, lasts):
-            yield square, EdgePath(cg, x, p.steps + route), ("loop", d, a)
+            yield square, p.steps + route, ("loop", d, a)
         return
 
     outs_y = [d for d in cg.out_steps(y) if d != last_p.reverse()]
@@ -172,28 +176,35 @@ def _pair_candidates(core: CoreDecomposition, p: EdgePath):
             yield frames[k]
 
     for d1, a1, r1 in pulled():
+        loop1 = p.steps + r1
         for d2, a2, r2 in pulled():
-            if d1 == d2 or a1 == a2:
-                continue
-            loop1 = EdgePath(cg, x, p.steps + r1)
-            loop2 = EdgePath(cg, x, p.steps + r2)
-            yield loop1, loop2, ("arc", (d1, a1), (d2, a2))
-
-
-def _is_cyclically_reduced_loop(loop: EdgePath) -> bool:
-    if not loop.is_closed() or not is_reduced(loop):
-        return False
-    return not loop.steps or loop.steps[-1] != loop.steps[0].reverse()
+            if d1 != d2 and a1 != a2:
+                yield loop1, p.steps + r2, ("arc", (d1, a1), (d2, a2))
 
 
 def distinguishing_pair(core: CoreDecomposition, p: EdgePath, basis: Basis,
                         variant: int = 0) -> DistinguishedPair:
-    """Construct and verify a distinguishing pair for a path in the core.
+    """Construct a distinguishing pair for a path in the core.
 
     `p` must be reduced, supported in the core, and either join two branch
     points or be a cyclically reduced loop segment based at one.  Extension
     steps are chosen deterministically (least directed edge first); `variant`
     selects later constructions for independence tests.
+
+    Every candidate is a pair of cyclically reduced loops whose cross loop
+    loop1^-1 loop2 reduces to a cyclically reduced loop of length
+    l(loop1) + l(loop2) - 2 l(p), so none needs checking:
+
+      * arc: loop_i = p r_i, where r_i is a non-backtracking route from a
+        first step d_i != last_p^-1 to a last step a_i != first_p^-1.  The
+        cross loop reduces to r1^-1 r2, which is cyclically reduced because
+        d1 != d2 and a1 != a2;
+      * loop segment: the loops are p p (cyclically reduced as
+        last_p != first_p^-1) and p r, with r from d to a as above.  The
+        cross loop reduces to p^-1 r, which is cyclically reduced because
+        d != first_p and a != last_p.
+
+    The target side checks all three transported spectrum values.
     """
     if not core.branch_points:
         raise RigidityError("circle-case", "core has no branch points")
@@ -211,28 +222,13 @@ def distinguishing_pair(core: CoreDecomposition, p: EdgePath, basis: Basis,
     elif p.start not in core.branch_points or p.end not in core.branch_points:
         raise RigidityError("bad-path", "path endpoints are not branch points")
 
-    g = basis.graph
-    seen = 0
-    for loop1, loop2, frame in _pair_candidates(core, p):
-        gamma1 = EdgePath(g, loop1.start, loop1.steps)
-        gamma2 = EdgePath(g, loop2.start, loop2.steps)
-        if not (_is_cyclically_reduced_loop(gamma1) and _is_cyclically_reduced_loop(gamma2)):
-            continue
-        cross = gamma1.reverse().then(gamma2)
-        core_loop, _ = cyclic_reduce_based(cross)
-        if core_loop.length != gamma1.length + gamma2.length - 2 * p.length:
-            continue  # certificate identity failed, enumerate further
-        if seen < variant:
-            seen += 1
-            continue
-        return DistinguishedPair(
-            path=p, loop1=gamma1, loop2=gamma2,
-            word1=loop_class_word(basis, gamma1),
-            word2=loop_class_word(basis, gamma2),
-            frame=frame,
-        )
-    raise RigidityError("no-distinguishing-pair",
-                        f"no verified pair for path {format_path(p)} (variant {variant})")
+    candidate = next(islice(_pair_candidates(core, p), max(variant, 0), None), None)
+    if candidate is None:
+        raise RigidityError("no-distinguishing-pair",
+                            f"no verified pair for path {format_path(p)} (variant {variant})")
+    gamma1, gamma2 = (EdgePath(basis.graph, p.start, steps) for steps in candidate[:2])
+    return DistinguishedPair(p, gamma1, gamma2, loop_class_word(basis, gamma1),
+                             loop_class_word(basis, gamma2), frame=candidate[2])
 
 
 def recovered_length(l2, hom: Hom, pair: DistinguishedPair) -> Fraction:
@@ -475,59 +471,35 @@ class InducedHomCheck:
     images: tuple[Word, ...]
 
 
-def _segment_traversals(cert: IsometryCertificate, where: dict[int, tuple[int, int]],
-                        loop: EdgePath) -> list[tuple[int, bool]]:
-    """Decompose a reduced core loop based at a branch point into whole
-    directed segment traversals (segment index, traversed backward).
-    `where` maps an edge id to (segment index, position along the segment)."""
-    segments = cert.core1.segments
-    out = []
-    steps = loop.steps
-    i = 0
-    while i < len(steps):
-        step = steps[i]
-        if step.edge not in where:
-            raise RigidityError("induced-hom", f"loop leaves the core at {step}")
-        idx, pos = where[step.edge]
-        seg = segments[idx]
-        n = len(seg.path.steps)
-        if seg.path.steps[pos] == step:
-            if pos != 0 or steps[i:i + n] != seg.path.steps:
-                raise RigidityError("induced-hom", "loop enters a segment mid-way")
-            out.append((idx, False))
-        else:
-            rev = seg.path.reverse().steps
-            if pos != n - 1 or steps[i:i + n] != rev:
-                raise RigidityError("induced-hom", "loop enters a segment mid-way")
-            out.append((idx, True))
-        i += n
-    return out
-
-
-def _induced_image(cert: IsometryCertificate, where: dict[int, tuple[int, int]],
+def _induced_image(cert: IsometryCertificate, chains: list, where: dict[int, tuple[int, int]],
                    k: int) -> Word:
     """Image of the k-th source generator under the certificate's isometry.
 
-    Raises RigidityError or PathError when the certificate's segment map is
-    not structurally consistent (possible for externally supplied data).
+    `chains` holds the steps of every source core segment and `where` maps a
+    segment's edge id to (segment index, position along it), as
+    `chain_traversals` takes them.  Raises PathError when the certificate's segment map is not
+    structurally consistent (possible for externally supplied data): the
+    based generator loop does not split into whole segment traversals, or
+    the mapped segments do not chain or do not close.
     """
-    basis1, basis2 = cert.basis1, cert.basis2
+    basis1 = cert.basis1
     x0 = min(cert.vertex_map)
     fx0 = cert.vertex_map[x0]
     s1 = basis1.tree_path(x0, basis1.basepoint)
-    s2 = basis2.tree_path(basis2.basepoint, fx0)
     seg_image = {i: (j, flag) for i, j, flag in cert.segment_map}
     lam = word_to_loop(basis1, (k,))
     based = reduce_path(s1.then(lam).then(s1.reverse()))
     target_steps: list[DirectedEdge] = []
-    for idx, backward in _segment_traversals(cert, where, based):
+    for idx, backward in chain_traversals(based.steps, chains, where):
         j, flag = seg_image[idx]
         piece = cert.core2.segments[j].path
         if flag != backward:  # exactly one reversal flips the traversal
             piece = piece.reverse()
         target_steps.extend(piece.steps)
-    mapped = EdgePath(basis2.graph, fx0, tuple(target_steps))
-    return loop_to_word(basis2, reduce_path(s2.then(mapped).then(s2.reverse())))
+    mapped = EdgePath(cert.basis2.graph, fx0, tuple(target_steps))
+    if not mapped.is_closed():
+        raise PathError("mapped generator loop does not close")
+    return loop_class_word(cert.basis2, mapped)
 
 
 def _tau_candidates(induced: tuple[Word, ...], hom: Hom) -> list[Word]:
@@ -571,13 +543,14 @@ def verify_induces_hom(cert: IsometryCertificate, hom: Hom,
                 return InducedHomCheck(True, t, None, (expect,))
         return InducedHomCheck(False, None, 1, (expect,))
 
-    where = {step.edge: (idx, pos) for idx, seg in enumerate(cert.core1.segments)
-             for pos, step in enumerate(seg.path.steps)}
+    chains = [seg.path.steps for seg in cert.core1.segments]
+    where = {step.edge: (idx, pos) for idx, chain in enumerate(chains)
+             for pos, step in enumerate(chain)}
     induced_list = []
     for k in range(1, hom.source.rank + 1):
         try:
-            induced_list.append(_induced_image(cert, where, k))
-        except (RigidityError, PathError):
+            induced_list.append(_induced_image(cert, chains, where, k))
+        except PathError:
             return InducedHomCheck(False, None, k, tuple(induced_list))
     induced = tuple(induced_list)
     targets = [apply_hom(hom, (k,)) for k in range(1, hom.source.rank + 1)]

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,38 @@ def test_spectrum_output(theta_file, capsys):
     assert "g1\t3" in lines
     assert "g2\t4" in lines
     assert len(lines) == 4
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("text, code", [
+    ("graph tree\nvertex 0\nvertex 1\nedge 0 0 1 1\n", 0),  # rank 0: no words
+    ("graph circle\nvertex 0\nedge 0 0 0 1\n", 2),  # rank 1: 2 * 10^20 words
+    (THETA_TEXT, 2),
+])
+def test_spectrum_huge_max_len_ends_at_once(tmp_path, capsys, text, code):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    t0 = time.perf_counter()
+    got, out, err = run(capsys, "spectrum", str(path), "--max-len", HUGE)
+    assert time.perf_counter() - t0 < 1
+    assert (got, out) == (code, "")
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
+    else:
+        assert err == ""
+
+
+def test_spectrum_respects_the_budget(theta_file, capsys, monkeypatch):
+    # Rank 2 up to length 3: 4 + 12 + 36 = 52 reduced words.
+    code, table, _ = run(capsys, "spectrum", theta_file, "--max-len", "3")
+    assert code == 0 and len(table.splitlines()) > 4
+    monkeypatch.setenv("MLS_BUDGET", "51")
+    code, out, err = run(capsys, "spectrum", theta_file, "--max-len", "3")
+    assert (code, out) == (2, "") and "budget of 51 words" in err
+    monkeypatch.setenv("MLS_BUDGET", "52")
+    assert run(capsys, "spectrum", theta_file, "--max-len", "3") == (0, table, "")
 
 
 def test_reduce_output(theta_file, capsys):

@@ -9,7 +9,7 @@ from mlsgraph import (CyclicPath, EdgePath, PathError, concat_reduce, cyclic_equ
                       parse_path, path_length, path_loop_path_normal_form, random_graph,
                       reduce_path, shortest_path)
 from mlsgraph.graphs import DirectedEdge
-from mlsgraph.paths import cyclic_reduce_based
+from mlsgraph.paths import chain_traversals, cyclic_reduce_based
 
 
 def P(g, text, at=None):
@@ -268,3 +268,17 @@ def test_shortest_path_deterministic_on_ties():
     from mlsgraph import MetricGraph
     g2 = MetricGraph([0, 1], [(0, 0, 1, 2), (1, 0, 1, 2)])
     assert format_path(shortest_path(g2, 0, 1)) == "e0"
+
+
+# -- chain traversals ----------------------------------------------------
+
+def test_chain_traversals_splits_whole_chains():
+    f, b = (lambda e: DirectedEdge(e, False)), (lambda e: DirectedEdge(e, True))
+    chains = {"x": (f(0), f(1)), "y": (f(2),)}
+    where = {s.edge: (k, pos) for k, chain in chains.items() for pos, s in enumerate(chain)}
+    assert chain_traversals((), chains, where) == []
+    assert chain_traversals((f(0), f(1), b(2), f(2), b(1), b(0)), chains, where) == [
+        ("x", False), ("y", True), ("y", False), ("x", True)]
+    for bad in ((f(1),), (b(0),), (f(0),), (f(0), f(2)), (f(3),)):
+        with pytest.raises(PathError):
+            chain_traversals(bad, chains, where)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -369,6 +370,35 @@ def test_verify_detects_corrupted_certificate(dumbbell):
     check = verify_induces_hom(broken, inst.hom)
     assert not check.ok
     assert check.failing_generator is not None
+
+
+def test_verify_rejects_a_loop_that_enters_a_segment_mid_way():
+    # A theta on branch points 1 and 2 whose first arc is subdivided at 0.
+    # Putting 0 in the vertex map makes it the least source vertex, so the
+    # generator loops are based there, half-way along a segment.
+    g = MetricGraph([0, 1, 2], [(0, 1, 0, 1), (1, 0, 2, 1), (2, 1, 2, 2), (3, 1, 2, 3)])
+    hom = identity_hom(spanning_tree(g))
+    cert = reconstruct(g, g, hom)
+    assert isinstance(cert, IsometryCertificate)
+    assert verify_induces_hom(cert, hom).ok
+    broken = replace(cert, vertex_map={0: 0, **cert.vertex_map})
+    check = verify_induces_hom(broken, hom)
+    assert (check.ok, check.failing_generator) == (False, 1)
+
+
+def test_verify_rejects_a_mapped_loop_that_does_not_close(dumbbell):
+    # g1 is the self-loop e0 at 0; sending its segment to the bridge maps
+    # it to a path from 0 to 1, which chains but does not close.
+    hom = identity_hom(spanning_tree(dumbbell))
+    cert = reconstruct(dumbbell, dumbbell, hom)
+    assert isinstance(cert, IsometryCertificate)
+    segs = cert.core1.segments
+    loop_i = next(i for i, seg in enumerate(segs) if seg.path.steps == (DirectedEdge(0, False),))
+    bridge = next(j for j, seg in enumerate(cert.core2.segments) if not seg.is_loop)
+    rows = tuple((i, bridge, False) if i == loop_i else (i, j, f)
+                 for i, j, f in cert.segment_map)
+    check = verify_induces_hom(replace(cert, segment_map=rows), hom)
+    assert (check.ok, check.failing_generator) == (False, 1)
 
 
 def test_extend_isometry_matches_and_codes(theta):

@@ -65,11 +65,8 @@ def _reference_candidates(cg, p):
 
 def _assert_candidates_match_reference(core, every_prefix):
     for seg in core.segments:
-        def candidates():
-            for loop1, loop2, frame in rigidity._pair_candidates(core, seg.path):
-                yield loop1.steps, loop2.steps, frame
-        _assert_prefixes_match(candidates, _reference_candidates(core.core, seg.path),
-                               every_prefix)
+        _assert_prefixes_match(lambda: rigidity._pair_candidates(core, seg.path),
+                               _reference_candidates(core.core, seg.path), every_prefix)
 
 
 def test_routes_match_reference_on_fixed_cores(theta, dumbbell):
@@ -101,9 +98,7 @@ def test_routes_match_reference_on_random_cores(seed, vertices, extra, disguised
         seg = data.draw(st.sampled_from(core.segments))
         expected = _reference_candidates(core.core, seg.path)
         k = data.draw(st.integers(0, len(expected)))
-        got = [(loop1.steps, loop2.steps, frame) for loop1, loop2, frame
-               in islice(rigidity._pair_candidates(core, seg.path), k)]
-        assert got == expected[:k]
+        assert list(islice(rigidity._pair_candidates(core, seg.path), k)) == expected[:k]
 
 
 def _first_steps(cg, p):
@@ -154,17 +149,17 @@ def test_one_route_tree_per_first_step(monkeypatch):
             lazy += len(built) < len(firsts)
             kinds.add((seg.path.is_closed(), len(firsts) > 1))
     assert {(False, True), (True, True)} <= kinds
-    assert lazy  # some pair is verified before every first step's tree is needed
+    assert lazy  # some pair is found before every first step's tree is needed
 
 
 def test_route_tree_expansions_on_fixed_cores(monkeypatch, theta):
     # Theta, segment e0 (0 -> 1): the first steps are e1^-1 and e2^-1 and the
     # last steps the same two.  Frame (e1^-1, e1^-1) expands nothing;
     # (e1^-1, e2^-1) expands e1^-1 and e0; (e2^-1, e1^-1) expands e2^-1 and
-    # e0 and gives the first arc pair, whose certificate identity fails;
-    # (e2^-1, e2^-1) is already in the tree and gives the verified pair.
+    # e0 but shares its last step with the first frame, so cannot pair with
+    # it; (e2^-1, e2^-1) is already in the tree and pairs with the first frame.
     # 4 expansions, where the eager trees expanded all 6 states each.  The
-    # other segments follow the same steps further before a pair verifies.
+    # other segments follow the same steps further before a pair is found.
     cores = [(compute_core(g), spanning_tree(g))
              for g in (theta, MetricGraph(*TWO_LOOPS_TWO_ARCS))]
     expanded = _count_expansions(monkeypatch)

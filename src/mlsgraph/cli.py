@@ -9,6 +9,7 @@ parses back byte-identically.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -184,8 +185,12 @@ def _check_reconstruct(parser, args) -> None:
         parser.error("--sweep must be at least 0")
 
 
+# Built by the first `main` call, not at import, and reused.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     check = getattr(args, "check", None)
     if check is not None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .graphs import DirectedEdge, GraphError, MetricGraph
-from .paths import CyclicPath, EdgePath, cyclically_reduce, least_rotation, reduce_steps
+from .paths import CyclicPath, EdgePath, cyclically_reduce, least_rotation
 
 Word = tuple[int, ...]
 
@@ -165,12 +165,14 @@ class Basis:
         object.__setattr__(self, "_parent", parent)
         blocks = {}
         for idx, eid in enumerate(self.generators, start=1):
+            # Out along the tree, across the generator, back along the tree:
+            # reduced, since a non-tree edge cancels against no tree step.
             rec = g.edge(eid)
-            steps = (self.tree_path(self.basepoint, rec.u).steps
-                     + (DirectedEdge(eid, False),)
-                     + self.tree_path(rec.v, self.basepoint).steps)
-            blocks[idx] = tuple(reduce_steps(steps))
-            blocks[-idx] = tuple(s.reverse() for s in reversed(blocks[idx]))
+            steps = [s.reverse() for s in reversed(self._root_steps(rec.u))]
+            steps.append(DirectedEdge(eid, False))
+            steps += self._root_steps(rec.v)
+            blocks[idx] = tuple(steps)
+            blocks[-idx] = tuple(s.reverse() for s in reversed(steps))
         object.__setattr__(self, "_gen_blocks", blocks)
         object.__setattr__(self, "_gen_index",
                            {eid: i for i, eid in enumerate(self.generators, start=1)})

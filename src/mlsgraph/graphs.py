@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import re
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -21,12 +22,33 @@ class GraphError(ValueError):
     """Malformed graph input or an operation precondition violation."""
 
 
+# Digits a length's numerator and denominator may have: `format_length` prints
+# them with `str`, which refuses longer ints at CPython's default limit.
+MAX_LENGTH_DIGITS = 4300
+_DIGIT_BOUND = 10 ** MAX_LENGTH_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_length(text: str) -> Fraction:
-    """Parse an edge length written as `p/q` or a decimal literal, exactly."""
+    """Parse an edge length written as `p/q` or a decimal literal, exactly.
+
+    Refuses a numerator or denominator of more than `MAX_LENGTH_DIGITS`
+    digits.  The exponent is read first: past that many digits plus the
+    literal's length, every non-zero mantissa gives too many, so the value
+    is never built."""
     try:
-        value = Fraction(text)
+        exp = _EXPONENT.search(text)
+        if exp and abs(int(exp[1])) > MAX_LENGTH_DIGITS + len(text):
+            value = Fraction(text[:exp.start(1)] + "0")
+            too_long = value != 0
+        else:
+            value = Fraction(text)
+            too_long = max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND
     except (ValueError, ZeroDivisionError) as exc:
         raise GraphError(f"bad length literal {text!r}") from exc
+    if too_long:
+        raise GraphError(f"length literal {text!r} has more than "
+                         f"{MAX_LENGTH_DIGITS} digits in its numerator or denominator")
     return value
 
 
@@ -69,9 +91,11 @@ class MetricGraph:
     because the representation cannot hold them.
     """
 
-    # Built once per graph, on first use, by `hull.compute_core` (the parts of
-    # the decomposition, not the decomposition: it holds the graph) and by
-    # `oracle._transition_tables`; class defaults, so construction pays nothing.
+    # Built once per graph, on first use, by `is_connected`, by
+    # `hull.compute_core` (the parts of the decomposition, not the
+    # decomposition: it holds the graph) and by `oracle._transition_tables`;
+    # class defaults, so construction pays nothing.
+    _connected: bool | None = None
     _core_parts: tuple | None = None
     _transitions: tuple | None = None
 
@@ -81,7 +105,6 @@ class MetricGraph:
         edges: Iterable[tuple[int, int, int, Fraction | int | str]],
         name: str = "g",
     ) -> None:
-        self.name = name
         vs: set[int] = set()
         for v in vertices:
             if not isinstance(v, int) or v < 0:
@@ -89,7 +112,6 @@ class MetricGraph:
             if v in vs:
                 raise GraphError(f"duplicate vertex id {v}")
             vs.add(v)
-        self._vertices = frozenset(vs)
         recs: dict[int, EdgeRecord] = {}
         for eid, u, v, length in edges:
             if not isinstance(eid, int) or eid < 0:
@@ -104,22 +126,30 @@ class MetricGraph:
                     f"an int, or a literal string")
             recs[eid] = EdgeRecord(u, v, length if isinstance(length, Fraction)
                                    else Fraction(length))
-        self._edges = recs
+        # Common denominator so path lengths can be summed as plain ints.
+        scale = math.lcm(*(rec.length.denominator for rec in recs.values())) if recs else 1
+        self._init_from(name, frozenset(vs), recs, scale,
+                        {eid: rec.length.numerator * (scale // rec.length.denominator)
+                         for eid, rec in recs.items()})
 
-        adj: dict[int, list[DirectedEdge]] = {v: [] for v in self._vertices}
+    def _init_from(self, name: str, vertices: frozenset[int], recs: dict[int, EdgeRecord],
+                   scale: int, scaled: dict[int, int]) -> None:
+        """The one constructor body, on checked parts: `scaled[eid]` is the
+        length of `eid` times `scale`, any common multiple of the length
+        denominators."""
+        self.name = name
+        self._vertices = vertices
+        self._edges = recs
+        adj: dict[int, list[DirectedEdge]] = {v: [] for v in vertices}
         for eid, rec in recs.items():
-            if rec.u in self._vertices and rec.v in self._vertices:
+            if rec.u in vertices and rec.v in vertices:
                 adj[rec.u].append(DirectedEdge(eid, False))
                 adj[rec.v].append(DirectedEdge(eid, True))
         self._adj = {v: tuple(sorted(out)) for v, out in adj.items()}
         self._next: dict[DirectedEdge, tuple[DirectedEdge, ...]] = {}
         self._shortest: dict[int, dict[int, tuple[DirectedEdge, ...]]] = {}
-
-        # Common denominator so path lengths can be summed as plain ints.
-        scale = math.lcm(*(rec.length.denominator for rec in recs.values())) if recs else 1
         self._scale = scale
-        self._scaled = {eid: rec.length.numerator * (scale // rec.length.denominator)
-                        for eid, rec in recs.items()}
+        self._scaled = scaled
 
     # -- basic access -------------------------------------------------
 
@@ -224,36 +254,39 @@ class MetricGraph:
     # -- structure ----------------------------------------------------
 
     def is_connected(self) -> bool:
-        if len(self._vertices) <= 1:
-            return True
-        start = min(self._vertices)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for step in self._adj.get(v, ()):
-                w = self.step_head(step)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self._vertices)
+        """One search per graph, kept: the graph is immutable."""
+        if self._connected is None:
+            stack = [min(self._vertices)] if self._vertices else []
+            seen = set(stack)
+            while stack:
+                v = stack.pop()
+                for step in self._adj[v]:
+                    w = self.step_head(step)
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            self._connected = len(seen) == len(self._vertices)
+        return self._connected
 
     def is_tree(self) -> bool:
         return self.is_connected() and len(self._edges) == max(len(self._vertices) - 1, 0)
 
     def subgraph(self, edge_ids: Iterable[int], extra_vertices: Iterable[int] = ()) -> "MetricGraph":
-        """Subgraph spanned by the given edges plus any extra isolated vertices."""
-        eids = sorted(set(edge_ids))
+        """Subgraph spanned by the given edges plus any extra isolated vertices.
+
+        Derived from this graph without re-validation: it reuses the edge
+        records and the scaled lengths, over this graph's length scale."""
+        recs = {eid: self.edge(eid) for eid in sorted(set(edge_ids))}
         verts = set(extra_vertices)
-        rows = []
-        for eid in eids:
-            rec = self.edge(eid)
+        for rec in recs.values():
             verts.update((rec.u, rec.v))
-            rows.append((eid, rec.u, rec.v, rec.length))
         for v in verts:
             if v not in self._vertices:
                 raise GraphError(f"unknown vertex id {v}")
-        return MetricGraph(verts, rows, name=f"{self.name}-sub")
+        sub = MetricGraph.__new__(MetricGraph)
+        sub._init_from(f"{self.name}-sub", frozenset(verts), recs, self._scale,
+                       {eid: self._scaled[eid] for eid in recs})
+        return sub
 
     def relabeled(self, vertex_map: dict[int, int], edge_map: dict[int, int],
                   flip_edges: Iterable[int] = (), name: str | None = None) -> "MetricGraph":

@@ -140,15 +140,18 @@ def _complement_components(g: MetricGraph, core_v: set[int], core_e: set[int]):
     return tuple(out)
 
 
-def _canonical_arc(path: EdgePath) -> EdgePath:
-    reverse = path.reverse()
-    return path if path.steps <= reverse.steps else reverse
+def _canonical_arc(core: MetricGraph, start: int, steps: list) -> EdgePath:
+    """The arc or its reverse, whichever has the lesser step tuple."""
+    forward = tuple(steps)
+    backward = tuple(s.reverse() for s in reversed(forward))
+    if forward <= backward:
+        return EdgePath(core, start, forward)
+    return EdgePath(core, core.step_head(forward[-1]), backward)
 
 
 def _segments(core: MetricGraph, branch: frozenset[int]) -> tuple[Segment, ...]:
     if not core.edge_ids:
         return ()
-    found: dict[frozenset, Segment] = {}
     if not branch:
         # Circle case: the whole core is one closed segment.
         base = min(core.vertex_ids)
@@ -158,18 +161,24 @@ def _segments(core: MetricGraph, branch: frozenset[int]) -> tuple[Segment, ...]:
         while at != base:
             steps.append(core.next_steps(steps[-1])[0])
             at = core.step_head(steps[-1])
-        return (Segment(_canonical_arc(EdgePath(core, base, tuple(steps)))),)
+        return (Segment(_canonical_arc(core, base, steps)),)
+    # Each arc is traced once, from the first of its ends that is reached:
+    # the out-step back along its last edge would trace it again, reversed.
+    arcs = []
+    traced: set[int] = set()
     for v in sorted(branch):
         for first in core.out_steps(v):
+            if first.edge in traced:
+                continue
             steps = [first]
             at = core.step_head(first)
             while at not in branch:
                 steps.append(core.next_steps(steps[-1])[0])  # interior degree is exactly 2
                 at = core.step_head(steps[-1])
-            arc = _canonical_arc(EdgePath(core, v, tuple(steps)))
-            found.setdefault(frozenset(arc.steps), arc)
-    segs = sorted(found.values(), key=lambda p: p.steps)
-    return tuple(Segment(p) for p in segs)
+            traced.add(steps[-1].edge)
+            arcs.append(_canonical_arc(core, v, steps))
+    arcs.sort(key=lambda p: p.steps)
+    return tuple(Segment(p) for p in arcs)
 
 
 def is_circle(decomp: CoreDecomposition) -> Fraction | None:

@@ -184,12 +184,12 @@ def cyclic_reduce_based(loop: EdgePath) -> tuple[EdgePath, EdgePath]:
     if not loop.is_closed():
         raise PathError("not a loop: endpoints differ")
     steps = reduce_steps(loop.steps)
-    peeled: list[DirectedEdge] = []
-    while len(steps) >= 2 and steps[-1].edge == steps[0].edge and steps[-1].rev != steps[0].rev:
-        peeled.append(steps[0])
-        steps = steps[1:-1]
-    conjugator = EdgePath(loop.graph, loop.start, tuple(peeled))
-    core = EdgePath(loop.graph, conjugator.end, tuple(steps))
+    i, j = 0, len(steps)
+    while j - i >= 2 and steps[j - 1].edge == steps[i].edge and steps[j - 1].rev != steps[i].rev:
+        i += 1
+        j -= 1
+    conjugator = EdgePath(loop.graph, loop.start, tuple(steps[:i]))
+    core = EdgePath(loop.graph, conjugator.end, tuple(steps[i:j]))
     return core, conjugator
 
 

@@ -87,6 +87,18 @@ def test_malformed_graph_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("length", ["1e5000", "1e10000000", "1e-4300"])
+def test_long_length_literal_is_usage_error(tmp_path, capsys, length):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"graph g\nvertex 0\nedge 0 0 0 {length}\n")
+    message = (f"error: line 3: length literal {length!r} has more than 4300 digits "
+               f"in its numerator or denominator\n")
+    assert run(capsys, "core", str(bad)) == (2, "", message)
+    hom = tmp_path / "hom.txt"
+    hom.write_text("hom phi\ngen g1 = g1\ninverse\ngen g1 = g1\n")
+    assert run(capsys, "reconstruct", str(bad), str(bad), str(hom)) == (2, "", message)
+
+
 @pytest.mark.parametrize("line, kind", [("edge 2 0 1 3 /2", "edge"), ("vertex 1 7", "vertex")])
 def test_extra_field_is_usage_error(tmp_path, capsys, line, kind):
     bad = tmp_path / "bad.txt"

@@ -1,4 +1,6 @@
 import random
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from mlsgraph import (GraphError, MetricGraph, attach_tree, format_length, graph_distance,
                       parse_length, random_graph, read_graph, subdivide_edge, validate_graph,
                       vertex_degree, write_graph)
-from mlsgraph.graphs import DirectedEdge, random_tree
+from mlsgraph.graphs import MAX_LENGTH_DIGITS, DirectedEdge, random_tree
 
 
 def test_parse_length_forms():
@@ -17,6 +19,54 @@ def test_parse_length_forms():
     assert parse_length("10") == 10
     with pytest.raises(GraphError):
         parse_length("abc")
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of `n`, counted without `str` (which refuses long ints)."""
+    return Decimal(abs(n)).adjusted() + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.from_regex(r"\A[-+]?([0-9]{1,6}(\.[0-9]{0,4})?|\.[0-9]{1,4})\Z"),
+       st.sampled_from("eE"),
+       st.integers(4280, 4320) | st.integers(-4320, -4280) | st.integers(-50, 50))
+def test_exponent_literal_keeps_its_value_or_is_refused(mantissa, marker, exp):
+    text = f"{mantissa}{marker}{exp}"
+    value = Fraction(text)
+    if max(_digits(value.numerator), _digits(value.denominator)) > MAX_LENGTH_DIGITS:
+        with pytest.raises(GraphError, match="more than 4300 digits"):
+            parse_length(text)
+    else:
+        assert parse_length(text) == value
+        assert parse_length(format_length(value)) == value
+
+
+@pytest.mark.parametrize("text, digits", [
+    ("1e4299", 4300), ("1E-4299", 4300), ("2.5e-4300", 4300), pytest.param("5" + "0" * 4299, 4300, id="4300-digit-int"),
+    ("0.0001e4303", 4300), ("1000e-4302", 4300), ("0e10000000", 1), ("-0.00E-99999999", 1),
+    ("3/7e5", None)])
+def test_long_literals_at_the_limit(text, digits):
+    if digits is None:
+        with pytest.raises(GraphError, match="bad length literal"):
+            parse_length(text)
+        return
+    value = parse_length(text)
+    assert max(_digits(value.numerator), _digits(value.denominator)) == digits
+    assert parse_length(format_length(value)) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e4300", "1e-4300", "1e5000", "1e10000000", "-2.5E-10000000", "7_0e+1_000_000_0",
+    pytest.param("0." + "0" * 4299 + "1", id="4300-decimals")])
+def test_too_long_literals_are_refused_at_once(text):
+    t0 = time.perf_counter()
+    with pytest.raises(GraphError) as err:
+        parse_length(text)
+    assert time.perf_counter() - t0 < 1.0
+    assert "more than 4300 digits" in str(err.value)
+    with pytest.raises(GraphError) as err:
+        read_graph(f"graph g\nvertex 0\nedge 0 0 0 {text}\n")
+    assert str(err.value).startswith(f"line 3: length literal {text!r} has more than")
 
 
 def test_format_length_roundtrip():

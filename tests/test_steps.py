@@ -124,3 +124,25 @@ def test_step_lookup_errors_and_dangling_edges(theta):
     assert (p.end, p.length) == (7, 2)
     assert _outcome(EdgePath, g, 0, (e0, e0)) == \
         (PathError, "steps do not chain at vertex 7 (e0)")
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), depth=st.just(2000) | st.integers(0, 2000),
+       data=st.data())
+def test_peel_matches_reference_on_long_pendant_conjugators(seed, depth, data):
+    # A path of `depth` edges hangs from a rank-3 graph; the loop runs from
+    # its far end up the path, round a word's loop and back down, so the
+    # conjugator to peel is at least `depth` steps long.
+    g = random_graph(seed, 3, 3, 5)
+    far = max(g.vertex_ids) + depth
+    rows = [(eid, rec.u, rec.v, rec.length) for eid, rec in g.edges_sorted()]
+    rows += [(len(rows) + i, far - i + 1 if i else 0, far - i, 1) for i in range(depth)]
+    h = MetricGraph(range(far + 1), rows)
+    down = EdgePath(h, 0, tuple(DirectedEdge(len(g.edge_ids) + i) for i in range(depth)))
+    basis = spanning_tree(g)
+    letters = [k for i in range(1, basis.rank + 1) for k in (i, -i)]
+    w = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=6)))
+    core_loop = EdgePath(h, basis.basepoint, word_to_loop(basis, w).steps)
+    loop = down.reverse().then(core_loop).then(down) if depth else core_loop
+    got, want = cyclic_reduce_based(loop), reference_cyclic_reduce_based(loop)
+    assert [(p.start, p.steps) for p in got] == [(p.start, p.steps) for p in want]

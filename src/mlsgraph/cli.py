@@ -89,11 +89,8 @@ def cmd_reconstruct(args) -> int:
     hom = read_hom(Path(args.hom).read_text(encoding="utf-8"),
                    spanning_tree(g1), spanning_tree(g2))
     result = reconstruct(g1, g2, hom, sweep_len=args.sweep)
-    if isinstance(result, ReconstructionFailure):
-        sys.stdout.write(result.report())
-        return 1
     sys.stdout.write(result.report())
-    return 0
+    return 1 if isinstance(result, ReconstructionFailure) else 0
 
 
 def cmd_check_iso(args) -> int:
@@ -197,10 +194,8 @@ def main(argv=None) -> int:
         check(parser, args)
     try:
         return args.func(args)
-    except (GraphError, PathError, WordError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
+    except (GraphError, PathError, WordError, BudgetExceededError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

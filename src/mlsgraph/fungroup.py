@@ -135,10 +135,10 @@ class Basis:
     generators: tuple[int, ...]
     basepoint: int
     _parent: dict[int, tuple[int, DirectedEdge] | None] = field(
-        repr=False, compare=False, default_factory=dict)
+        init=False, repr=False, compare=False)
     _gen_blocks: dict[int, tuple[DirectedEdge, ...]] = field(
-        repr=False, compare=False, default_factory=dict)
-    _gen_index: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
+        init=False, repr=False, compare=False)
+    _gen_index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:

@@ -396,11 +396,16 @@ def attach_tree(g: MetricGraph, v: int, tree: MetricGraph, root: int) -> MetricG
 
 def random_tree(rng: random.Random, size: int, length_bound: int = 4, den_bound: int = 6) -> MetricGraph:
     """Random tree on `size` vertices with random rational edge lengths."""
-    rows = []
-    for i in range(1, size):
-        parent = rng.randrange(i)
-        rows.append((i - 1, parent, i, _random_length(rng, length_bound, den_bound)))
-    return MetricGraph(range(size), rows, name="tree")
+    return MetricGraph(range(size), _random_tree_rows(rng, size, length_bound, den_bound),
+                       name="tree")
+
+
+def _random_tree_rows(rng: random.Random, size: int, length_bound: int,
+                      den_bound: int) -> list[tuple[int, int, int, Fraction]]:
+    """Edge `i - 1` joins vertex `i` to a uniform earlier vertex, for each
+    `i` in 1..size-1; the parent is drawn before the length."""
+    return [(i - 1, rng.randrange(i), i, _random_length(rng, length_bound, den_bound))
+            for i in range(1, size)]
 
 
 def _random_length(rng: random.Random, length_bound: int, den_bound: int) -> Fraction:
@@ -420,17 +425,11 @@ def random_graph(seed: int, vertices: int, extra_edges: int, length_bound: int,
     if vertices <= 0 or extra_edges < 0 or length_bound <= 0:
         raise GraphError("random_graph parameters must be positive")
     rng = random.Random(seed)
-    rows = []
-    eid = 0
-    for i in range(1, vertices):
-        parent = rng.randrange(i)
-        rows.append((eid, parent, i, _random_length(rng, length_bound, den_bound)))
-        eid += 1
-    for _ in range(extra_edges):
+    rows = _random_tree_rows(rng, vertices, length_bound, den_bound)
+    for eid in range(vertices - 1, vertices - 1 + extra_edges):
         u = rng.randrange(vertices)
         v = rng.randrange(vertices)
         rows.append((eid, u, v, _random_length(rng, length_bound, den_bound)))
-        eid += 1
     return MetricGraph(range(vertices), rows, name=f"rand-{seed}")
 
 

@@ -51,6 +51,11 @@ class Segment:
 
 @dataclass(frozen=True)
 class CoreDecomposition:
+    """`complement` has one `(tree, attach)` entry per core vertex with complement
+    edges, sorted by `attach`: all the edges hanging there, as one tree.  The
+    core of `MetricGraph(range(4), [(0,0,0,1),(1,0,1,1),(2,0,2,1),(3,1,3,1)])`
+    is the loop 0; its complement is the single entry of edges [1, 2, 3] at 0."""
+
     graph: MetricGraph
     core: MetricGraph
     complement: tuple[tuple[MetricGraph, int], ...]
@@ -79,23 +84,16 @@ def _decompose(g: MetricGraph):
     alive_v = set(g.vertex_ids)
     alive_e = set(g.edge_ids)
     degree = {v: vertex_degree(g, v) for v in alive_v}
-    incident: dict[int, set[int]] = {v: set() for v in alive_v}
-    for eid in alive_e:
-        rec = g.edge(eid)
-        incident[rec.u].add(eid)
-        incident[rec.v].add(eid)
     leaves = [v for v in alive_v if degree[v] == 1]
     while leaves:
         v = leaves.pop()
-        if v not in alive_v or degree[v] != 1:
-            continue
-        (eid,) = (e for e in incident[v] if e in alive_e)
-        rec = g.edge(eid)
-        other = rec.v if rec.u == v else rec.u
+        if degree[v] != 1:
+            continue  # listed once, but its last edge went with its neighbour
+        (step,) = (s for s in g.out_steps(v) if s.edge in alive_e)
+        other = g.step_head(step)
         alive_v.discard(v)
-        alive_e.discard(eid)
+        alive_e.discard(step.edge)
         degree[other] -= 1
-        degree[v] = 0
         if degree[other] == 1:
             leaves.append(other)
     if len(alive_v) == 1 and not alive_e:
@@ -117,26 +115,29 @@ def _find(parent: dict[int, int], x: int) -> int:
     return x
 
 
-def _complement_components(g: MetricGraph, core_v: set[int], core_e: set[int]):
-    dead_e = sorted(g.edge_ids - core_e)
+def _complement_groups(g: MetricGraph, sub_e: set[int]) -> list[list[int]]:
+    """The edges of `g` off `sub_e`, sorted, in connected groups: two edges
+    are in one group when they share an endpoint, on the subgraph or not."""
+    off = sorted(g.edge_ids - sub_e)
     parent: dict[int, int] = {}
-
-    for eid in dead_e:
+    for eid in off:
         rec = g.edge(eid)
-        parent.setdefault(rec.u, rec.u)
-        parent.setdefault(rec.v, rec.v)
         parent[_find(parent, rec.u)] = _find(parent, rec.v)
     groups: dict[int, list[int]] = {}
-    for eid in dead_e:
+    for eid in off:
         groups.setdefault(_find(parent, g.edge(eid).u), []).append(eid)
+    return list(groups.values())
+
+
+def _complement_components(g: MetricGraph, core_v: set[int], core_e: set[int]):
     out = []
-    for eids in groups.values():
+    for eids in _complement_groups(g, core_e):
         tree = g.subgraph(eids)
         attach = sorted(tree.vertex_ids & core_v)
         if len(attach) != 1:
             raise GraphError("complement component does not attach at a single point")
         out.append((tree, attach[0]))
-    out.sort(key=lambda pair: (pair[1], min(pair[0].edge_ids)))
+    out.sort(key=lambda pair: pair[1])  # groups sharing an attach vertex are one group
     return tuple(out)
 
 
@@ -152,33 +153,24 @@ def _canonical_arc(core: MetricGraph, start: int, steps: list) -> EdgePath:
 def _segments(core: MetricGraph, branch: frozenset[int]) -> tuple[Segment, ...]:
     if not core.edge_ids:
         return ()
-    if not branch:
-        # Circle case: the whole core is one closed segment.
-        base = min(core.vertex_ids)
-        step = core.out_steps(base)[0]
-        steps = [step]
-        at = core.step_head(step)
-        while at != base:
-            steps.append(core.next_steps(steps[-1])[0])
-            at = core.step_head(steps[-1])
-        return (Segment(_canonical_arc(core, base, steps)),)
-    # Each arc is traced once, from the first of its ends that is reached:
-    # the out-step back along its last edge would trace it again, reversed.
+    # Arcs end at branch points, a circle's one arc at its least vertex.
+    # Each is traced once, from the first of its ends reached: the out-step
+    # back along its last edge would trace it again, reversed.
+    ends = branch or {min(core.vertex_ids)}
     arcs = []
     traced: set[int] = set()
-    for v in sorted(branch):
+    for v in sorted(ends):
         for first in core.out_steps(v):
             if first.edge in traced:
                 continue
             steps = [first]
             at = core.step_head(first)
-            while at not in branch:
+            while at not in ends:
                 steps.append(core.next_steps(steps[-1])[0])  # interior degree is exactly 2
                 at = core.step_head(steps[-1])
             traced.add(steps[-1].edge)
             arcs.append(_canonical_arc(core, v, steps))
-    arcs.sort(key=lambda p: p.steps)
-    return tuple(Segment(p) for p in arcs)
+    return tuple(Segment(p) for p in sorted(arcs, key=lambda p: p.steps))
 
 
 def is_circle(decomp: CoreDecomposition) -> Fraction | None:
@@ -196,7 +188,8 @@ def retraction_check(g: MetricGraph, sub: MetricGraph) -> bool:
     """True iff `g` deformation retracts to the subgraph `sub`.
 
     For graphs this holds iff every component of the complement is a tree
-    meeting `sub` at exactly one vertex.
+    meeting `sub` at exactly one vertex: the rule that shapes a core's
+    complement, applied to any subgraph.
     """
     if not sub.vertex_ids:
         raise GraphError("empty subgraph")
@@ -209,43 +202,19 @@ def retraction_check(g: MetricGraph, sub: MetricGraph) -> bool:
 
 
 def _retracts_onto(g: MetricGraph, sub_v: set[int], sub_e: set[int]) -> bool:
-    extra_e = sorted(g.edge_ids - sub_e)
-    parent: dict[int, int] = {}
-
-    # Union endpoints of complement edges, never across sub vertices.
-    comp_sizes: dict[int, list[int]] = {}
-    for eid in extra_e:
+    """Each complement group is a tree with exactly one vertex on the
+    subgraph, and the groups and the subgraph cover the vertices of `g`."""
+    for eid in g.edge_ids - sub_e:
         rec = g.edge(eid)
-        for w in (rec.u, rec.v):
-            parent.setdefault(w, w)
         if rec.u in sub_v and rec.v in sub_v:
-            return False  # a complement edge joining two sub vertices closes a cycle
-        if rec.u not in sub_v and rec.v not in sub_v:
-            parent[_find(parent, rec.u)] = _find(parent, rec.v)
-    # Isolated non-sub vertices cannot occur in a connected graph with edges.
-    for v in g.vertex_ids - sub_v:
-        if v not in parent:
+            return False  # closes a cycle; cheaper to refuse here than per group
+    covered = set(sub_v)
+    for eids in _complement_groups(g, sub_e):
+        verts = {w for eid in eids for w in g.edge(eid)[:2]}
+        if len(verts & sub_v) != 1 or len(eids) != len(verts) - 1:
             return False
-    components: dict[int, dict] = {}
-    for eid in extra_e:
-        rec = g.edge(eid)
-        anchor = rec.u if rec.u not in sub_v else rec.v
-        if anchor in sub_v:
-            return False
-        comp = components.setdefault(_find(parent, anchor),
-                                     {"edges": 0, "verts": set(), "attach": set()})
-        comp["edges"] += 1
-        for w in (rec.u, rec.v):
-            if w in sub_v:
-                comp["attach"].add(w)
-            else:
-                comp["verts"].add(w)
-    for comp in components.values():
-        if len(comp["attach"]) != 1:
-            return False
-        if comp["edges"] != len(comp["verts"]) + len(comp["attach"]) - 1:
-            return False  # not a tree
-    return True
+        covered |= verts
+    return covered >= g.vertex_ids
 
 
 def core_equals_loop_union(g: MetricGraph, max_edges: int, budget: int | None = None) -> bool:

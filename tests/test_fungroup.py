@@ -87,6 +87,15 @@ def test_custom_basis_must_span(theta):
         Basis(theta, frozenset(), (0, 1, 2), 0)
 
 
+def test_basis_takes_only_its_four_fields(theta):
+    b = Basis(theta, frozenset({0}), (1, 2), 0)
+    assert b == spanning_tree(theta) and b._gen_index == {1: 1, 2: 2}
+    # The parent pointers and generator blocks are built, never passed in.
+    for name in ("_parent", "_gen_blocks", "_gen_index"):
+        with pytest.raises(TypeError):
+            Basis(theta, frozenset({0}), (1, 2), 0, **{name: {}})
+
+
 # -- words <-> loops -------------------------------------------------------
 
 def test_word_to_loop_empty(theta):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from decimal import Decimal
@@ -229,6 +230,27 @@ def test_random_graph_deterministic():
     b = write_graph(random_graph(1, 5, 3, 10))
     assert a == b
     assert write_graph(random_graph(2, 5, 3, 10)) != a
+
+
+def test_random_generators_keep_their_draws():
+    """`random_graph` and `random_tree` draw their trees through one loop;
+    the digests are those of the graphs before it was shared, and the tree's
+    digest also covers the generator's next draw."""
+    graphs = hashlib.sha256()
+    for seed in range(6):
+        for vertices in (1, 2, 5, 9):
+            for extra in (0, 1, 4):
+                graphs.update(write_graph(random_graph(seed, vertices, extra, 10)).encode())
+    assert graphs.hexdigest() == \
+        "8a1a9db859d54baf34f0b1fbe036ccf779715ef4e3b581fce1c04ea04d837f35"
+    trees = hashlib.sha256()
+    for seed in range(6):
+        for size in (1, 2, 4, 7):
+            rng = random.Random(seed)
+            trees.update(write_graph(random_tree(rng, size)).encode())
+            trees.update(repr(rng.random()).encode())
+    assert trees.hexdigest() == \
+        "9464ce35e7560604203611d9de701115fa5a65a0082d2edf64a868a430b1362b"
 
 
 def test_random_graph_bad_params():

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fungroup import (Basis, Hom, Word, apply_hom, cyclic_reduce_word, format_word,
-                       invert_word, loop_class_word, loop_to_word, parse_word, spanning_tree,
-                       word_to_loop)
+                       invert_word, loop_class_word, loop_to_word, parse_word, spanning_tree)
 from .graphs import (DirectedEdge, MetricGraph, attach_tree, random_tree, read_graph_comments,
                      require_valid, subdivide_edge, subdivision_chain)
 from .hull import compute_core
-from .paths import EdgePath, PathError, chain_traversals, reduce_path
+from .paths import EdgePath, PathError, _reversed_steps, map_chains, reduce_path
 
 
 class DisguiseError(ValueError):
@@ -47,11 +46,7 @@ def _map_path(g2: MetricGraph, vertex_image: dict[int, int],
               chains: dict[int, tuple[DirectedEdge, ...]], path: EdgePath) -> EdgePath:
     steps: list[DirectedEdge] = []
     for s in path.steps:
-        chain = chains[s.edge]
-        if s.rev:
-            steps.extend(c.reverse() for c in reversed(chain))
-        else:
-            steps.extend(chain)
+        steps.extend(_reversed_steps(chains[s.edge]) if s.rev else chains[s.edge])
     return EdgePath(g2, vertex_image[path.start], tuple(steps))
 
 
@@ -106,10 +101,11 @@ def disguise(g: MetricGraph, seed: int) -> DisguisedInstance:
 
     images = []
     for k in range(1, basis1.rank + 1):
-        image_loop = _map_path(g2, vertex_image, chains, word_to_loop(basis1, (k,)))
+        image_loop = _map_path(g2, vertex_image, chains,
+                               basis1.generator_loop(k, basis1.basepoint))
         images.append(loop_class_word(basis2, image_loop))
 
-    inverse_images = _inverse_images(g, g2, basis1, basis2, connector, vertex_image, chains)
+    inverse_images = _inverse_images(g, basis1, basis2, vertex_image, chains)
     hom = Hom(basis1, basis2, tuple(images), tuple(inverse_images))
     if not hom.is_certified_isomorphism():
         raise DisguiseError("internal error: recorded hom failed certification")
@@ -128,25 +124,20 @@ def disguise(g: MetricGraph, seed: int) -> DisguisedInstance:
     return DisguisedInstance(g, g2, hom, vertex_image, chains, branch_map, tau)
 
 
-def _inverse_images(g1: MetricGraph, g2: MetricGraph, basis1: Basis, basis2: Basis,
-                    connector: EdgePath, vertex_image: dict[int, int],
+def _inverse_images(g1: MetricGraph, basis1: Basis, basis2: Basis, vertex_image: dict[int, int],
                     chains: dict[int, tuple[DirectedEdge, ...]]) -> list[Word]:
+    """Source words of the target generators: each generator's loop at the
+    image of the source basepoint, pulled back chain by chain."""
     where = {s.edge: (src, pos) for src, chain in chains.items() for pos, s in enumerate(chain)}
-    preimage_start = {vertex_image[v]: v for v in g1.vertex_ids}
-
-    def pull_back(loop: EdgePath) -> EdgePath:
-        try:
-            traversals = chain_traversals(loop.steps, chains, where)
-        except PathError as exc:
-            raise DisguiseError(f"internal error: {exc}") from None
-        return EdgePath(g1, preimage_start[loop.start],
-                        tuple(DirectedEdge(src, backward) for src, backward in traversals))
-
+    sources = {src: (DirectedEdge(src, False),) for src in chains}
+    at = vertex_image[basis1.basepoint]
     out = []
     for j in range(1, basis2.rank + 1):
-        lam = word_to_loop(basis2, (j,))
-        based = reduce_path(connector.reverse().then(lam).then(connector))
-        out.append(loop_to_word(basis1, pull_back(based)))
+        try:
+            steps = map_chains(basis2.generator_loop(j, at).steps, chains, where, sources)
+        except PathError as exc:
+            raise DisguiseError(f"internal error: {exc}") from None
+        out.append(loop_to_word(basis1, EdgePath(g1, basis1.basepoint, steps)))
     return out
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .graphs import DirectedEdge, GraphError, MetricGraph
-from .paths import CyclicPath, EdgePath, cyclically_reduce, least_rotation
+from .paths import CyclicPath, EdgePath, _reversed_steps, cyclically_reduce, least_rotation
 
 Word = tuple[int, ...]
 
@@ -106,29 +106,54 @@ def format_word(w: Word) -> str:
 def enumerate_reduced_words(rank: int, max_len: int) -> Iterator[Word]:
     """All freely reduced non-empty words of length <= max_len, in a fixed
     order: by length, then lexicographically over the alphabet
-    g1, g1^-1, g2, g2^-1, ..."""
+    g1, g1^-1, g2, g2^-1, ...  Depth-first over a stack of letter iterators,
+    so no length hits the recursion limit."""
     alphabet = [s * k for k in range(1, rank + 1) for s in (1, -1)]
-
-    def extend(prefix: list[int], remaining: int) -> Iterator[Word]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for letter in alphabet:
-            if prefix and prefix[-1] == -letter:
-                continue
-            prefix.append(letter)
-            yield from extend(prefix, remaining - 1)
-            prefix.pop()
-
     for n in range(1, max_len + 1):
-        yield from extend([], n)
+        word: list[int] = []
+        pending = [iter(alphabet)]
+        while pending:
+            for letter in pending[-1]:
+                if not word or word[-1] != -letter:
+                    break
+            else:
+                pending.pop()
+                if word:
+                    word.pop()
+                continue
+            word.append(letter)
+            if len(word) == n:
+                yield tuple(word)
+                word.pop()
+            else:
+                pending.append(iter(alphabet))
 
 
 # -- spanning-tree basis ----------------------------------------------
 
+def _tree_parents(g: MetricGraph, root: int, edges: frozenset[int]) -> dict:
+    """Breadth-first links from `root` along `edges`, scanning sorted steps:
+    each vertex reached maps to (previous vertex, step), the root to None."""
+    parent: dict[int, tuple[int, DirectedEdge] | None] = {root: None}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for step in g.out_steps(v):
+                if step.edge not in edges:
+                    continue
+                w = g.step_head(step)
+                if w not in parent:
+                    parent[w] = (v, step)
+                    nxt.append(w)
+        frontier = nxt
+    return parent
+
+
 @dataclass(frozen=True)
 class Basis:
-    """Spanning tree plus ordered non-tree generators and a basepoint."""
+    """Spanning tree plus ordered non-tree generators and a basepoint; builds
+    reduced `tree_path`s and `generator_loop`s (tree out, generator k, tree back)."""
 
     graph: MetricGraph
     tree_edges: frozenset[int]
@@ -145,34 +170,14 @@ class Basis:
         return len(self.generators)
 
     def __post_init__(self) -> None:
-        # Parent pointers toward the basepoint, along tree edges only.
-        parent: dict[int, tuple[int, DirectedEdge] | None] = {self.basepoint: None}
-        frontier = [self.basepoint]
-        g = self.graph
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for step in g.out_steps(v):
-                    if step.edge not in self.tree_edges:
-                        continue
-                    w = g.step_head(step)
-                    if w not in parent:
-                        parent[w] = (v, step)
-                        nxt.append(w)
-            frontier = nxt
-        if set(parent) != set(g.vertex_ids):
+        parent = _tree_parents(self.graph, self.basepoint, self.tree_edges)
+        if parent.keys() != self.graph.vertex_ids:
             raise GraphError("tree edges do not span the graph")
         object.__setattr__(self, "_parent", parent)
         blocks = {}
-        for idx, eid in enumerate(self.generators, start=1):
-            # Out along the tree, across the generator, back along the tree:
-            # reduced, since a non-tree edge cancels against no tree step.
-            rec = g.edge(eid)
-            steps = [s.reverse() for s in reversed(self._root_steps(rec.u))]
-            steps.append(DirectedEdge(eid, False))
-            steps += self._root_steps(rec.v)
-            blocks[idx] = tuple(steps)
-            blocks[-idx] = tuple(s.reverse() for s in reversed(steps))
+        for k in range(1, self.rank + 1):
+            blocks[k] = self._loop_steps(k, self.basepoint)
+            blocks[-k] = _reversed_steps(blocks[k])
         object.__setattr__(self, "_gen_blocks", blocks)
         object.__setattr__(self, "_gen_index",
                            {eid: i for i, eid in enumerate(self.generators, start=1)})
@@ -186,15 +191,32 @@ class Basis:
             v, step = link
             steps.append(step.reverse())
 
-    def tree_path(self, a: int, b: int) -> EdgePath:
-        """The unique reduced path from a to b inside the spanning tree."""
+    def _tree_steps(self, a: int, b: int) -> tuple[DirectedEdge, ...]:
         up = self._root_steps(a)
         down = self._root_steps(b)
         while up and down and up[-1] == down[-1]:
             up.pop()
             down.pop()
-        steps = up + [s.reverse() for s in reversed(down)]
-        return EdgePath(self.graph, a, tuple(steps))
+        return tuple(up) + _reversed_steps(down)
+
+    def tree_path(self, a: int, b: int) -> EdgePath:
+        """The unique reduced path from a to b inside the spanning tree."""
+        return EdgePath(self.graph, a, self._tree_steps(a, b))
+
+    def _loop_steps(self, k: int, at: int) -> tuple[DirectedEdge, ...]:
+        if not 0 < abs(k) <= self.rank:
+            raise WordError(f"generator index {k} out of range")
+        eid = self.generators[abs(k) - 1]
+        rec = self.graph.edge(eid)
+        tail, head = (rec.v, rec.u) if k < 0 else (rec.u, rec.v)
+        return (self._tree_steps(at, tail) + (DirectedEdge(eid, k < 0),)
+                + self._tree_steps(head, at))
+
+    def generator_loop(self, k: int, at: int) -> EdgePath:
+        """Tree path from `at` to generator k's tail (k < 0: its reverse), the
+        generator, the tree path back; reduced, as a non-tree edge cancels
+        against no tree step."""
+        return EdgePath(self.graph, at, self._loop_steps(k, at))
 
 
 def spanning_tree(g: MetricGraph) -> Basis:
@@ -203,24 +225,12 @@ def spanning_tree(g: MetricGraph) -> Basis:
     in id order, the basepoint is the least vertex id."""
     if not g.vertex_ids:
         raise GraphError("empty graph has no basis")
-    if not g.is_connected():
-        raise GraphError("disconnected")
     basepoint = min(g.vertex_ids)
-    tree: set[int] = set()
-    seen = {basepoint}
-    frontier = [basepoint]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for step in g.out_steps(v):
-                w = g.step_head(step)
-                if w not in seen:
-                    seen.add(w)
-                    tree.add(step.edge)
-                    nxt.append(w)
-        frontier = nxt
-    generators = tuple(sorted(g.edge_ids - tree))
-    return Basis(g, frozenset(tree), generators, basepoint)
+    parent = _tree_parents(g, basepoint, g.edge_ids)
+    if parent.keys() != g.vertex_ids:
+        raise GraphError("disconnected")
+    tree = frozenset(link[1].edge for link in parent.values() if link is not None)
+    return Basis(g, tree, tuple(sorted(g.edge_ids - tree)), basepoint)
 
 
 # -- words <-> loops --------------------------------------------------
@@ -299,12 +309,10 @@ def spectrum_table(basis: Basis, max_len: int) -> list[tuple[Word, Fraction]]:
     if (2 * max_len if r == 1 else r * ((2 * r - 1) ** n - 1) // (r - 1)) > limit:
         raise BudgetExceededError(
             f"spectrum table up to length {max_len} exceeds the budget of {limit} words")
-    rows: dict[Word, Fraction] = {}
-    for w in enumerate_reduced_words(basis.rank, max_len):
-        key = canonical_cyclic_word(w)
-        if key and key not in rows:
-            rows[key] = marked_length(basis, key)
-    return sorted(rows.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    # A class's key is its one cyclically reduced word that is its least rotation.
+    rows = [(w, marked_length(basis, w)) for w in enumerate_reduced_words(r, max_len)
+            if w[0] != -w[-1] and w == least_rotation(w)]
+    return sorted(rows, key=lambda kv: (len(kv[0]), kv[0]))
 
 
 def format_spectrum_table(rows: list[tuple[Word, Fraction]]) -> str:

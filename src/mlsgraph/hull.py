@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import GraphError, MetricGraph, vertex_degree
-from .paths import EdgePath
+from .paths import EdgePath, _reversed_steps
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def _complement_components(g: MetricGraph, core_v: set[int], core_e: set[int]):
 def _canonical_arc(core: MetricGraph, start: int, steps: list) -> EdgePath:
     """The arc or its reverse, whichever has the lesser step tuple."""
     forward = tuple(steps)
-    backward = tuple(s.reverse() for s in reversed(forward))
+    backward = _reversed_steps(forward)
     if forward <= backward:
         return EdgePath(core, start, forward)
     return EdgePath(core, core.step_head(forward[-1]), backward)

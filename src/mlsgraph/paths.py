@@ -228,6 +228,17 @@ def chain_traversals(steps: Sequence[DirectedEdge], chains, where: dict) -> list
     return out
 
 
+def map_chains(steps: Sequence[DirectedEdge], chains, where: dict,
+               images) -> tuple[DirectedEdge, ...]:
+    """The steps with each whole traversal of a chain (as `chain_traversals`
+    splits them) replaced by its image: `images[k]` for `chains[k]` forward,
+    their reverse for it backward.  Raises PathError as that split does."""
+    out: list[DirectedEdge] = []
+    for k, backward in chain_traversals(steps, chains, where):
+        out.extend(_reversed_steps(images[k]) if backward else images[k])
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class ConcatDecomposition:
     """Cancellation decomposition of a two-path concatenation.

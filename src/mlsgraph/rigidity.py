@@ -30,13 +30,13 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Iterator
 
-from .fungroup import (Basis, Hom, Word, apply_hom, canonical_cyclic_word, concat_words,
-                       cyclic_reduce_word, enumerate_reduced_words, format_word, invert_word,
-                       loop_class_word, marked_length, word_to_loop)
+from .fungroup import (Basis, Hom, Word, apply_hom, concat_words, cyclic_reduce_word,
+                       enumerate_reduced_words, format_word, invert_word, loop_class_word,
+                       marked_length, word_to_loop)
 from .graphs import DirectedEdge, GraphError, MetricGraph, require_valid
 from .hull import CoreDecomposition, compute_core, is_circle
-from .paths import (EdgePath, PathError, chain_traversals, cyclic_reduce_based, format_path,
-                    is_reduced, reduce_path, shortest_path)
+from .paths import (EdgePath, PathError, cyclic_reduce_based, format_path, is_reduced,
+                    map_chains, shortest_path)
 
 
 class RigidityError(ValueError):
@@ -472,31 +472,16 @@ class InducedHomCheck:
 
 
 def _induced_image(cert: IsometryCertificate, chains: list, where: dict[int, tuple[int, int]],
-                   k: int) -> Word:
-    """Image of the k-th source generator under the certificate's isometry.
-
-    `chains` holds the steps of every source core segment and `where` maps a
-    segment's edge id to (segment index, position along it), as
-    `chain_traversals` takes them.  Raises PathError when the certificate's segment map is not
-    structurally consistent (possible for externally supplied data): the
-    based generator loop does not split into whole segment traversals, or
-    the mapped segments do not chain or do not close.
-    """
-    basis1 = cert.basis1
+                   images: dict[int, tuple[DirectedEdge, ...]], k: int) -> Word:
+    """Image of the k-th source generator under the certificate's isometry:
+    its loop at the least branch point, through `map_chains` from source
+    segments (`chains`, `where`) to matched target steps (`images`).  Raises
+    PathError when the segment map is not structurally consistent (possible
+    for externally supplied data): the loop does not split into whole segment
+    traversals, or the mapped segments do not chain or do not close."""
     x0 = min(cert.vertex_map)
-    fx0 = cert.vertex_map[x0]
-    s1 = basis1.tree_path(x0, basis1.basepoint)
-    seg_image = {i: (j, flag) for i, j, flag in cert.segment_map}
-    lam = word_to_loop(basis1, (k,))
-    based = reduce_path(s1.then(lam).then(s1.reverse()))
-    target_steps: list[DirectedEdge] = []
-    for idx, backward in chain_traversals(based.steps, chains, where):
-        j, flag = seg_image[idx]
-        piece = cert.core2.segments[j].path
-        if flag != backward:  # exactly one reversal flips the traversal
-            piece = piece.reverse()
-        target_steps.extend(piece.steps)
-    mapped = EdgePath(cert.basis2.graph, fx0, tuple(target_steps))
+    steps = map_chains(cert.basis1.generator_loop(k, x0).steps, chains, where, images)
+    mapped = EdgePath(cert.basis2.graph, cert.vertex_map[x0], steps)
     if not mapped.is_closed():
         raise PathError("mapped generator loop does not close")
     return loop_class_word(cert.basis2, mapped)
@@ -546,10 +531,13 @@ def verify_induces_hom(cert: IsometryCertificate, hom: Hom,
     chains = [seg.path.steps for seg in cert.core1.segments]
     where = {step.edge: (idx, pos) for idx, chain in enumerate(chains)
              for pos, step in enumerate(chain)}
+    segs = cert.core2.segments
+    images = {i: (segs[j].path.reverse() if flag else segs[j].path).steps
+              for i, j, flag in cert.segment_map}
     induced_list = []
     for k in range(1, hom.source.rank + 1):
         try:
-            induced_list.append(_induced_image(cert, chains, where, k))
+            induced_list.append(_induced_image(cert, chains, where, images, k))
         except PathError:
             return InducedHomCheck(False, None, k, tuple(induced_list))
     induced = tuple(induced_list)
@@ -581,32 +569,35 @@ def verify_induces_hom(cert: IsometryCertificate, hom: Hom,
 SWEEP_PREFIX_LEN = 2
 
 
-def _spectrum_sweep(basis1: Basis, basis2: Basis, hom: Hom, max_len: int,
-                    checked: set[Word] | None = None) -> None:
+def _first_of_class(w: Word) -> bool:
+    """True iff `w` comes first in its class up to inversion in enumeration
+    order.  A class's shortest words are the rotations of its cyclically
+    reduced words and their inverses, so iff `w` is cyclically reduced and the
+    least of these in the order g1 < g1^-1 < g2; it then starts with its least g_m."""
+    if w[0] == -w[-1] or w[0] != min(map(abs, w)):
+        return False
+    key = [2 * abs(x) - (x > 0) for x in w]
+    inv = [2 * abs(x) - (x < 0) for x in reversed(w)]
+    return all(key <= key[i:] + key[:i] and key <= inv[i:] + inv[:i] for i in range(len(key)))
+
+
+def _spectrum_sweep(basis1: Basis, basis2: Basis, hom: Hom, max_len: int, after: int = 0) -> None:
     """Check l2(hom(w)) == l1(w) on one word per conjugacy class up to
-    inversion, over the reduced words of length <= `max_len`.
+    inversion: the class's first word `w` in enumeration order, if its
+    length is over `after` and at most `max_len`.
 
     Skipping is exact.  The marked length spectrum is a class function,
     l(u w u^-1) = l(w), and l(w^-1) = l(w); a homomorphism sends conjugates
     to conjugates and inverses to inverses.  So a skipped word passes iff
-    the earlier word of its class passed, the first failing word in
+    the first word of its class passed, the first failing word in
     enumeration order is always checked, and the `SpectrumMismatchError`
-    witness is that word, as in an exhaustive sweep.
-
-    `checked` holds the canonical words of the classes already checked and
-    is updated in place.  Passing the set left by a shorter sweep resumes it:
-    the shorter words are enumerated again but cost no query, so the two
-    calls check the same classes, in the same order, as one sweep.
+    witness is that word, as in an exhaustive sweep.  A sweep to `after`
+    followed by one to `max_len` past `after` checks the same words, in the
+    same order, as one sweep to `max_len`; neither keeps any state.
     """
-    if checked is None:
-        checked = set()
     for w in enumerate_reduced_words(basis1.rank, max_len):
-        key = canonical_cyclic_word(w)
-        if key in checked:
-            continue
-        checked.add(key)
-        checked.add(canonical_cyclic_word(invert_word(key)))
-        _check_spectrum(w, marked_length(basis1, w), marked_length(basis2, apply_hom(hom, w)))
+        if len(w) > after and _first_of_class(w):
+            _check_spectrum(w, marked_length(basis1, w), marked_length(basis2, apply_hom(hom, w)))
 
 
 def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,
@@ -661,9 +652,7 @@ def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,
                 return ReconstructionFailure("induced-hom",
                                              f"generator g{check.failing_generator}")
             return replace(cert, tau=check.tau, induced_images=check.images)
-        checked: set[Word] = set()
-        _spectrum_sweep(hom.source, hom.target, hom, min(sweep_len, SWEEP_PREFIX_LEN),
-                        checked)
+        _spectrum_sweep(hom.source, hom.target, hom, min(sweep_len, SWEEP_PREFIX_LEN))
         try:
             branch = branch_point_map(core1, hom.source, core2, hom.target, hom)
             cert = extend_isometry(core1, hom.source, core2, hom.target, branch)
@@ -673,7 +662,7 @@ def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,
         except Exception:
             # Not an ACCEPT: a mismatch in the rest of the sweep comes first,
             # as it would have had the whole sweep run before the pipeline.
-            _spectrum_sweep(hom.source, hom.target, hom, sweep_len, checked)
+            _spectrum_sweep(hom.source, hom.target, hom, sweep_len, after=SWEEP_PREFIX_LEN)
             raise
         return replace(cert, tau=check.tau, induced_images=check.images)
     except RigidityError as exc:

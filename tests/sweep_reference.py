@@ -3,8 +3,9 @@
 `reference_reconstruct` is `rigidity.reconstruct` as it was when the whole
 spectrum sweep ran before the pipeline.  The differential tests compare the
 current `reconstruct`, which checks the longer classes only after a
-non-ACCEPT, against it byte for byte.  Do not update it to follow the
-library.
+non-ACCEPT, against it byte for byte.  `reference_sweep_words` is the sweep's
+word choice with a set of the classes already seen, which the current sweep
+decides from each word alone.  Do not update it to follow the library.
 """
 
 from dataclasses import replace
@@ -18,14 +19,21 @@ from mlsgraph.rigidity import (IsometryCertificate, ReconstructionFailure, Rigid
                                verify_induces_hom)
 
 
-def reference_sweep(basis1, basis2, hom, max_len):
+def reference_sweep_words(rank, max_len):
+    """The words the sweep queries: the first of each conjugacy class up to
+    inversion, found by keeping the canonical words of the classes seen."""
     checked = set()
-    for w in enumerate_reduced_words(basis1.rank, max_len):
+    for w in enumerate_reduced_words(rank, max_len):
         key = canonical_cyclic_word(w)
         if key in checked:
             continue
         checked.add(key)
         checked.add(canonical_cyclic_word(invert_word(key)))
+        yield w
+
+
+def reference_sweep(basis1, basis2, hom, max_len):
+    for w in reference_sweep_words(basis1.rank, max_len):
         expected = marked_length(basis1, w)
         got = marked_length(basis2, apply_hom(hom, w))
         if got != expected:

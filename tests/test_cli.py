@@ -166,6 +166,23 @@ def test_spectrum_huge_max_len_ends_at_once(tmp_path, capsys, text, code):
         assert err == ""
 
 
+def test_spectrum_max_len_zero_is_one_usage_error(theta_file, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["spectrum", theta_file, "--max-len", "0"])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "mlsgraph: error: --max-len must be at least 1"]
+
+
+def test_check_iso_on_a_tree_rejects_empty_core(tmp_path, theta_file, capsys):
+    tree = tmp_path / "tree.txt"
+    tree.write_text("graph tree\nvertex 0\nvertex 1\nedge 0 0 1 1\n")
+    for argv in ((str(tree), theta_file), (theta_file, str(tree))):
+        assert run(capsys, "check-iso", *argv) == (1, "verdict REJECT empty-core\n", "")
+
+
 def test_spectrum_respects_the_budget(theta_file, capsys, monkeypatch):
     # Rank 2 up to length 3: 4 + 12 + 36 = 52 reduced words.
     code, table, _ = run(capsys, "spectrum", theta_file, "--max-len", "3")

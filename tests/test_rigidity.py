@@ -13,7 +13,7 @@ from mlsgraph import (Hom, IsometryCertificate, MetricGraph, ReconstructionFailu
                       marked_length, random_graph, reconstruct, recovered_length,
                       spanning_tree, transport_path, verify_induces_hom)
 from mlsgraph.fungroup import apply_hom, concat_words, invert_word
-from mlsgraph.graphs import DirectedEdge
+from mlsgraph.graphs import DirectedEdge, GraphError
 from mlsgraph.paths import EdgePath, format_path, shortest_path
 
 
@@ -480,6 +480,15 @@ def test_spectrum_sweep_queries_each_class_once(monkeypatch):
     monkeypatch.setattr(rigidity, "marked_length", counting)
     rigidity._spectrum_sweep(b, b, identity_hom(b), 4)
     assert len(queried) == 780
+
+
+def test_reconstruct_refuses_bases_of_another_graph(theta):
+    twin = MetricGraph(theta.vertex_ids, [(eid, rec.u, rec.v, rec.length)
+                                          for eid, rec in theta.edges_sorted()])
+    for hom in (identity_hom(spanning_tree(twin)),
+                Hom(spanning_tree(theta), spanning_tree(twin), ((1,), (2,)), ((1,), (2,)))):
+        with pytest.raises(GraphError, match="hom bases do not belong to the given graphs"):
+            reconstruct(theta, theta, hom)
 
 
 def test_reconstruct_rejects_non_preserving_self_iso(theta):

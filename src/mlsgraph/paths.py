@@ -92,7 +92,7 @@ class EdgePath:
 
 
 def _reversed_steps(steps: Sequence[DirectedEdge]) -> tuple[DirectedEdge, ...]:
-    return tuple(s.reverse() for s in reversed(steps))
+    return tuple([s.reverse() for s in reversed(steps)])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from mlsgraph import (CyclicPath, EdgePath, PathError, concat_reduce, cyclic_equ
                       parse_path, path_length, path_loop_path_normal_form, random_graph,
                       reduce_path, shortest_path)
 from mlsgraph.graphs import DirectedEdge
-from mlsgraph.paths import chain_traversals, cyclic_reduce_based
+from mlsgraph.paths import chain_traversals, cyclic_reduce_based, map_chains
 
 
 def P(g, text, at=None):
@@ -282,3 +282,15 @@ def test_chain_traversals_splits_whole_chains():
     for bad in ((f(1),), (b(0),), (f(0),), (f(0), f(2)), (f(3),)):
         with pytest.raises(PathError):
             chain_traversals(bad, chains, where)
+
+
+def test_map_chains_replaces_each_traversal_by_its_image():
+    f, b = (lambda e: DirectedEdge(e, False)), (lambda e: DirectedEdge(e, True))
+    chains = {"x": (f(0), f(1)), "y": (f(2),)}
+    where = {s.edge: (k, pos) for k, chain in chains.items() for pos, s in enumerate(chain)}
+    images = {"x": (f(7),), "y": (f(8), b(9))}
+    assert map_chains((), chains, where, images) == ()
+    assert map_chains((f(0), f(1), b(2), f(2), b(1), b(0)), chains, where, images) == (
+        f(7), f(9), b(8), f(8), b(9), b(7))
+    with pytest.raises(PathError):
+        map_chains((f(1),), chains, where, images)

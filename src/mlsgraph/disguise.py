@@ -2,11 +2,12 @@
 
 A disguise of a graph is an isometric graph with different combinatorics:
 edges are subdivided, pendant trees are glued on, and all ids (and stored
-edge orientations) are shuffled.  Because the transformation is known, the
-induced isomorphism of fundamental groups, its inverse, the branch-point
-correspondence and the basepoint-change word can all be recorded exactly,
-giving test instances where the reconstruction pipeline's output can be
-checked against the truth.
+edge orientations) are shuffled.  The edits go to one table of edge rows,
+so the disguised graph is built once and relabelled once.  Because the
+transformation is known, the induced isomorphism of fundamental groups, its
+inverse, the branch-point correspondence and the basepoint-change word can
+all be recorded exactly, giving test instances where the reconstruction
+pipeline's output can be checked against the truth.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 from .fungroup import (Basis, Hom, Word, apply_hom, cyclic_reduce_word, format_word,
                        invert_word, loop_class_word, loop_to_word, parse_word, spanning_tree)
-from .graphs import (DirectedEdge, MetricGraph, attach_tree, random_tree, read_graph_comments,
-                     require_valid, subdivide_edge, subdivision_chain)
+from .graphs import (DirectedEdge, MetricGraph, _random_tree_rows, read_graph_comments,
+                     require_valid)
 from .hull import compute_core
-from .paths import EdgePath, PathError, _reversed_steps, map_chains, reduce_path
+from .paths import EdgePath, PathError, _reversed_steps, map_chains
 
 
 class DisguiseError(ValueError):
@@ -62,31 +64,35 @@ def disguise(g: MetricGraph, seed: int) -> DisguisedInstance:
         raise DisguiseError("core is empty")
     rng = random.Random(seed)
 
-    work = g
-    chains: dict[int, tuple[DirectedEdge, ...]] = {
-        e: (DirectedEdge(e, False),) for e in g.edge_ids}
+    # Every cut and pendant tree edits one row table; fresh ids run on from
+    # the greatest so far, and the graph is built once at the end.
+    rows = {eid: (rec.u, rec.v, rec.length) for eid, rec in g.edges_sorted()}
+    verts = set(g.vertex_ids)
+    fresh_v, fresh_e = count(max(verts) + 1), count(max(rows) + 1)
+    chains = {e: (DirectedEdge(e, False),) for e in g.edge_ids}
     for eid in sorted(g.edge_ids):
         if rng.random() < 0.6:
-            cuts = rng.randint(1, 2)
-            numerators = sorted(rng.sample(range(1, 8), cuts))
-            fractions = [Fraction(n, 8) for n in numerators]
-            work_edge = chains[eid][0].edge
-            chains[eid] = subdivision_chain(work, work_edge, cuts)
-            work = subdivide_edge(work, work_edge, fractions)
-
+            cuts = rng.sample(range(1, 8), rng.randint(1, 2))
+            breaks = [0, *sorted(Fraction(n, 8) for n in cuts), 1]
+            u, v, length = rows.pop(eid)
+            ends = [u, *islice(fresh_v, len(cuts)), v]
+            chains[eid] = tuple(DirectedEdge(next(fresh_e), False) for _ in ends[1:])
+            for i, step in enumerate(chains[eid]):
+                rows[step.edge] = (ends[i], ends[i + 1], length * (breaks[i + 1] - breaks[i]))
+            verts.update(ends)
     for _ in range(rng.randint(1, 2)):
-        at = rng.choice(sorted(work.vertex_ids))
-        tree = random_tree(rng, rng.randint(2, 4))
-        work = attach_tree(work, at, tree, 0)
+        at = rng.choice(sorted(verts))
+        tree = _random_tree_rows(rng, rng.randint(2, 4), 4, 6)
+        ids = [at, *islice(fresh_v, len(tree))]  # tree vertex w becomes ids[w]
+        rows.update((next(fresh_e), (ids[p], ids[c], length)) for _, p, c, length in tree)
+        verts.update(ids)
+    work = MetricGraph(verts, ((eid, *row) for eid, row in rows.items()))
 
-    old_v = sorted(work.vertex_ids)
-    new_v = list(range(len(old_v)))
+    old_v, old_e = sorted(verts), sorted(rows)
+    new_v, new_e = list(range(len(old_v))), list(range(len(old_e)))
     rng.shuffle(new_v)
-    vertex_map = dict(zip(old_v, new_v))
-    old_e = sorted(work.edge_ids)
-    new_e = list(range(len(old_e)))
     rng.shuffle(new_e)
-    edge_map = dict(zip(old_e, new_e))
+    vertex_map, edge_map = dict(zip(old_v, new_v)), dict(zip(old_e, new_e))
     flips = {e for e in old_e if rng.random() < 0.5}
     g2 = work.relabeled(vertex_map, edge_map, flips, name=f"{g.name}-d{seed}")
 
@@ -97,16 +103,13 @@ def disguise(g: MetricGraph, seed: int) -> DisguisedInstance:
 
     basis1 = spanning_tree(g)
     basis2 = spanning_tree(g2)
-    connector = basis2.tree_path(basis2.basepoint, vertex_image[basis1.basepoint])
 
-    images = []
-    for k in range(1, basis1.rank + 1):
-        image_loop = _map_path(g2, vertex_image, chains,
-                               basis1.generator_loop(k, basis1.basepoint))
-        images.append(loop_class_word(basis2, image_loop))
+    images = tuple(loop_class_word(basis2, _map_path(g2, vertex_image, chains,
+                                                     basis1.generator_loop(k, basis1.basepoint)))
+                   for k in range(1, basis1.rank + 1))
 
     inverse_images = _inverse_images(g, basis1, basis2, vertex_image, chains)
-    hom = Hom(basis1, basis2, tuple(images), tuple(inverse_images))
+    hom = Hom(basis1, basis2, images, tuple(inverse_images))
     if not hom.is_certified_isomorphism():
         raise DisguiseError("internal error: recorded hom failed certification")
 
@@ -115,9 +118,10 @@ def disguise(g: MetricGraph, seed: int) -> DisguisedInstance:
         x0 = min(branch_map)
         s1 = basis1.tree_path(x0, basis1.basepoint)
         s2 = basis2.tree_path(basis2.basepoint, vertex_image[x0])
-        tau_loop = reduce_path(
-            s2.then(_map_path(g2, vertex_image, chains, s1)).then(connector.reverse()))
-        tau = loop_to_word(basis2, tau_loop)
+        connector = basis2.tree_path(basis2.basepoint, vertex_image[basis1.basepoint])
+        # `loop_to_word` reduces the letters freely, so the loop is read unreduced.
+        tau = loop_to_word(basis2, s2.then(_map_path(g2, vertex_image, chains, s1))
+                           .then(connector.reverse()))
     else:
         _, conj = cyclic_reduce_word(apply_hom(hom, (1,)))
         tau = invert_word(conj)

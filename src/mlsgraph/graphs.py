@@ -357,13 +357,6 @@ def subdivide_edge(g: MetricGraph, eid: int, fractions: Iterable[Fraction]) -> M
     return MetricGraph(verts, rows, name=g.name)
 
 
-def subdivision_chain(g: MetricGraph, eid: int, cut_count: int) -> tuple[DirectedEdge, ...]:
-    """Directed chain (tail to head of the original edge) that `subdivide_edge`
-    with `cut_count` cuts allocates for edge `eid`."""
-    next_e = max(g.edge_ids, default=-1) + 1
-    return tuple(DirectedEdge(next_e + i, False) for i in range(cut_count + 1))
-
-
 def attach_tree(g: MetricGraph, v: int, tree: MetricGraph, root: int) -> MetricGraph:
     """Glue `tree` to `g` by identifying `root` with vertex `v` of `g`.
 

@@ -11,6 +11,8 @@
   `require_valid` and `compute_core`.
 - `cli.main` builds its parser once and reuses it: repeated calls, with a
   usage error between them, print the same bytes and exit codes.
+- `disguise` builds its graph in one construction and relabels it in one
+  more, whatever the number of edges it cuts.
 """
 
 import contextlib
@@ -26,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from segments_reference import reference_segments
 
-from mlsgraph import GraphError, MetricGraph, compute_core, random_graph, spanning_tree
+from mlsgraph import (GraphError, MetricGraph, compute_core, disguise, random_graph,
+                      spanning_tree)
 from mlsgraph import cli
 from mlsgraph.fungroup import write_hom
 from mlsgraph.graphs import DirectedEdge, require_valid, write_graph
@@ -159,6 +162,22 @@ def test_one_connectivity_search_per_graph(monkeypatch):
         with pytest.raises(GraphError):
             check(disconnected)
     assert [x for x in searched if x is disconnected] == [disconnected]
+
+
+@pytest.mark.parametrize("vertices, extra", [(40, 170), (150, 400)])
+def test_disguise_builds_few_graphs(monkeypatch, vertices, extra):
+    g = random_graph(3, vertices, extra, 10)
+    assert len(g.edge_ids) >= 200
+    built = []
+    init = MetricGraph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MetricGraph, "__init__", counting)
+    disguise(g, 103)
+    assert len(built) <= 3
 
 
 def _main(argv):

@@ -10,7 +10,9 @@ from helpers import BAD_HOM_FILES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlsgraph import read_graph, read_truth, spanning_tree
 from mlsgraph.cli import main
+from mlsgraph.fungroup import read_hom
 
 
 def run(capsys, *argv):
@@ -338,12 +340,13 @@ FUZZ_TOKENS = st.sampled_from([
 
 
 @st.composite
-def mutated_pair(draw):
-    """The pair's files after one to three edits: a line deleted, duplicated
-    or swapped with the next, a token replaced, bytes inserted, or a cut."""
-    files = list(_pair_files())
+def mutated_pair(draw, count=3):
+    """The pair's first `count` files after one to three edits: a line
+    deleted, duplicated or swapped with the next, a token replaced, bytes
+    inserted, or a cut."""
+    files = list(_pair_files()[:count])
     for _ in range(draw(st.integers(1, 3))):
-        k = draw(st.integers(0, 2))
+        k = draw(st.integers(0, count - 1))
         lines = files[k].split(b"\n")
         i = draw(st.integers(0, len(lines) - 1))
         op = draw(st.sampled_from(["delete", "duplicate", "swap", "token", "insert", "cut"]))
@@ -383,3 +386,23 @@ def test_reconstruct_exit_code_contract_fuzz(files):
         assert err.getvalue().startswith("error:")
     else:
         assert out.getvalue().splitlines()[-1].startswith("verdict ")
+
+
+@given(mutated_pair(count=1))
+@settings(max_examples=100, deadline=None)
+def test_disguise_exit_code_contract_fuzz(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, g2, hom = (str(Path(tmp) / name) for name in ("g1.txt", "g2.txt", "hom.txt"))
+        Path(src).write_bytes(files[0])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["disguise", src, "--seed", "7", "--out-graph", g2, "--out-hom", hom])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error:")
+        if code == 0:
+            text = Path(g2).read_text(encoding="utf-8")
+            g1, g2 = read_graph(files[0].decode()), read_graph(text)
+            read_truth(text)
+            read_hom(Path(hom).read_text(encoding="utf-8"), spanning_tree(g1), spanning_tree(g2))

@@ -1,6 +1,11 @@
-import pytest
+from fractions import Fraction
 
-from mlsgraph import (DisguiseError, IsometryCertificate, MetricGraph, compute_core,
+import pytest
+from disguise_reference import reference_disguise
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mlsgraph import (DisguiseError, IsometryCertificate, MetricGraph, attach_tree, compute_core,
                       disguise, random_graph, read_graph, read_truth, reconstruct,
                       spectra_agree_up_to, write_graph)
 from mlsgraph.disguise import truth_comments
@@ -89,3 +94,41 @@ def test_disguise_random_graphs_roundtrip():
         assert isinstance(cert, IsometryCertificate), (seed, cert)
         count += 1
     assert count >= 25
+
+
+# -- the edit loop, against its frozen copy ----------------------------------
+
+@st.composite
+def disguise_inputs(draw):
+    """A `random_graph` with a pendant path of up to 200 edges glued on at
+    any of its vertices and any point of the path, its ids maybe moved to
+    sparse ones (in reversed order, too), and a disguise seed."""
+    g = random_graph(draw(st.integers(0, 10**6)), draw(st.integers(1, 8)),
+                     draw(st.integers(1, 5)), draw(st.integers(1, 6)))
+    size = draw(st.integers(0, 200))
+    if size:
+        path = MetricGraph(range(size + 1), [(i, i, i + 1, Fraction(1 + i % 5, 1 + i % 3))
+                                             for i in range(size)])
+        g = attach_tree(g, draw(st.sampled_from(sorted(g.vertex_ids))), path,
+                        draw(st.integers(0, size)))
+    if draw(st.booleans()):
+        scale, shift = draw(st.integers(1, 9)), draw(st.integers(0, 20))
+        top = max(g.vertex_ids) + max(g.edge_ids) if draw(st.booleans()) else 0
+        move = (lambda x: scale * (top - x) + shift) if top else (lambda x: scale * x + shift)
+        g = g.relabeled({v: move(v) for v in g.vertex_ids}, {e: move(e) for e in g.edge_ids})
+    return g, draw(st.integers(0, 2**32))
+
+
+def _fields(inst):
+    g2 = inst.graph
+    return (write_graph(g2, extra_comments=truth_comments(inst)), list(g2.edges_sorted()),
+            {v: g2.out_steps(v) for v in g2.vertex_ids}, inst.hom.images,
+            inst.hom.inverse_images, inst.vertex_image, inst.edge_chains, inst.branch_map,
+            inst.tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(disguise_inputs())
+def test_disguise_equals_the_frozen_edit_loop(case):
+    g, seed = case
+    assert _fields(disguise(g, seed)) == _fields(reference_disguise(g, seed))

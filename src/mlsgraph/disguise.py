@@ -104,12 +104,14 @@ def disguise(g: MetricGraph, seed: int) -> DisguisedInstance:
     basis1 = spanning_tree(g)
     basis2 = spanning_tree(g2)
 
-    images = tuple(loop_class_word(basis2, _map_path(g2, vertex_image, chains,
-                                                     basis1.generator_loop(k, basis1.basepoint)))
-                   for k in range(1, basis1.rank + 1))
+    images = []
+    for k in range(1, basis1.rank + 1):
+        image_loop = _map_path(g2, vertex_image, chains,
+                               basis1.generator_loop(k, basis1.basepoint))
+        images.append(loop_class_word(basis2, image_loop))
 
     inverse_images = _inverse_images(g, basis1, basis2, vertex_image, chains)
-    hom = Hom(basis1, basis2, images, tuple(inverse_images))
+    hom = Hom(basis1, basis2, tuple(images), tuple(inverse_images))
     if not hom.is_certified_isomorphism():
         raise DisguiseError("internal error: recorded hom failed certification")
 

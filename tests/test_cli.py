@@ -392,17 +392,18 @@ def test_reconstruct_exit_code_contract_fuzz(files):
 @settings(max_examples=100, deadline=None)
 def test_disguise_exit_code_contract_fuzz(files):
     with tempfile.TemporaryDirectory() as tmp:
-        src, g2, hom = (str(Path(tmp) / name) for name in ("g1.txt", "g2.txt", "hom.txt"))
-        Path(src).write_bytes(files[0])
+        src, out_graph, out_hom = (Path(tmp) / name for name in ("g1.txt", "g2.txt", "hom.txt"))
+        src.write_bytes(files[0])
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["disguise", src, "--seed", "7", "--out-graph", g2, "--out-hom", hom])
+            code = main(["disguise", str(src), "--seed", "7", "--out-graph", str(out_graph),
+                         "--out-hom", str(out_hom)])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if code == 2:
             assert err.getvalue().startswith("error:")
         if code == 0:
-            text = Path(g2).read_text(encoding="utf-8")
+            text = out_graph.read_text(encoding="utf-8")
             g1, g2 = read_graph(files[0].decode()), read_graph(text)
             read_truth(text)
-            read_hom(Path(hom).read_text(encoding="utf-8"), spanning_tree(g1), spanning_tree(g2))
+            read_hom(out_hom.read_text(encoding="utf-8"), spanning_tree(g1), spanning_tree(g2))

@@ -153,7 +153,9 @@ def _tree_parents(g: MetricGraph, root: int, edges: frozenset[int]) -> dict:
 @dataclass(frozen=True)
 class Basis:
     """Spanning tree plus ordered non-tree generators and a basepoint; builds
-    reduced `tree_path`s and `generator_loop`s (tree out, generator k, tree back)."""
+    reduced `tree_path`s and `generator_loop`s (tree out, generator k, tree back).
+    The tree's parent links are built with the basis; generator k's loop at
+    the basepoint (`_gen_block`) is built the first time a word uses k."""
 
     graph: MetricGraph
     tree_edges: frozenset[int]
@@ -174,11 +176,7 @@ class Basis:
         if parent.keys() != self.graph.vertex_ids:
             raise GraphError("tree edges do not span the graph")
         object.__setattr__(self, "_parent", parent)
-        blocks = {}
-        for k in range(1, self.rank + 1):
-            blocks[k] = self._loop_steps(k, self.basepoint)
-            blocks[-k] = _reversed_steps(blocks[k])
-        object.__setattr__(self, "_gen_blocks", blocks)
+        object.__setattr__(self, "_gen_blocks", {})
         object.__setattr__(self, "_gen_index",
                            {eid: i for i, eid in enumerate(self.generators, start=1)})
 
@@ -211,6 +209,13 @@ class Basis:
         tail, head = (rec.v, rec.u) if k < 0 else (rec.u, rec.v)
         return (self._tree_steps(at, tail) + (DirectedEdge(eid, k < 0),)
                 + self._tree_steps(head, at))
+
+    def _gen_block(self, k: int) -> tuple[DirectedEdge, ...]:
+        """Steps of `generator_loop(k, basepoint)`, built on first use and kept."""
+        block = self._gen_blocks.get(k)
+        if block is None:
+            block = self._gen_blocks[k] = self._loop_steps(k, self.basepoint)
+        return block
 
     def generator_loop(self, k: int, at: int) -> EdgePath:
         """Tree path from `at` to generator k's tail (k < 0: its reverse), the
@@ -245,8 +250,7 @@ def word_to_loop(basis: Basis, w: Word) -> EdgePath:
     for letter in w:
         if letter == 0 or abs(letter) > basis.rank:
             raise WordError(f"generator index {letter} out of range")
-        block = basis._gen_blocks[letter]
-        for step in block:
+        for step in basis._gen_block(letter):
             if steps and steps[-1].edge == step.edge and steps[-1].rev != step.rev:
                 steps.pop()
             else:

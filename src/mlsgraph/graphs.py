@@ -33,9 +33,15 @@ def parse_length(text: str) -> Fraction:
     """Parse an edge length written as `p/q` or a decimal literal, exactly.
 
     Refuses a numerator or denominator of more than `MAX_LENGTH_DIGITS`
-    digits.  The exponent is read first: past that many digits plus the
+    digits.  A literal `p` or `p/q` of ASCII digits is read by `int` alone.
+    Otherwise the exponent is read first: past that many digits plus the
     literal's length, every non-zero mantissa gives too many, so the value
     is never built."""
+    num, slash, den = text.partition("/")
+    den = den if slash else "1"
+    if (num.isascii() and num.isdigit() and den.isascii() and den.isdigit()
+            and max(len(num), len(den)) <= MAX_LENGTH_DIGITS and den.strip("0")):
+        return Fraction(int(num), int(den))
     try:
         exp = _EXPONENT.search(text)
         if exp and abs(int(exp[1])) > MAX_LENGTH_DIGITS + len(text):
@@ -92,11 +98,13 @@ class MetricGraph:
     """
 
     # Built once per graph, on first use, by `is_connected`, by
-    # `hull.compute_core` (the parts of the decomposition, not the
-    # decomposition: it holds the graph) and by `oracle._transition_tables`;
-    # class defaults, so construction pays nothing.
+    # `hull.compute_core` and `hull.CoreDecomposition` (the parts of the
+    # decomposition, not the decomposition: it holds the graph) and by
+    # `oracle._transition_tables`; class defaults, so construction pays nothing.
     _connected: bool | None = None
     _core_parts: tuple | None = None
+    _segments: tuple | None = None
+    _complement: tuple | None = None
     _transitions: tuple | None = None
 
     def __init__(
@@ -310,7 +318,7 @@ def validate_graph(g: MetricGraph) -> list[str]:
     """Return a list of invariant violations; empty iff `g` is well formed."""
     report = []
     for eid, rec in g.edges_sorted():
-        if rec.length <= 0:
+        if rec.length.numerator <= 0:
             report.append(f"non-positive length on edge {eid}")
         if not g.has_vertex(rec.u) or not g.has_vertex(rec.v):
             report.append(f"dangling endpoint on edge {eid}")
@@ -467,7 +475,7 @@ def read_graph(text: str) -> MetricGraph:
             elif kind == "edge":
                 _, eid, u, v, length = fields
                 eid, u, v, length = int(eid), int(u), int(v), parse_length(length)
-                if length <= 0:
+                if length.numerator <= 0:
                     raise GraphError(f"non-positive length on edge {eid}")
                 rows.append((eid, u, v, length))
             else:

@@ -51,20 +51,37 @@ class Segment:
 
 @dataclass(frozen=True)
 class CoreDecomposition:
-    """`complement` has one `(tree, attach)` entry per core vertex with complement
-    edges, sorted by `attach`: all the edges hanging there, as one tree.  The
-    core of `MetricGraph(range(4), [(0,0,0,1),(1,0,1,1),(2,0,2,1),(3,1,3,1)])`
-    is the loop 0; its complement is the single entry of edges [1, 2, 3] at 0."""
+    """The core, its branch points, and two parts built on first read, once
+    per graph: `segments`, and `complement`, which has one `(tree, attach)`
+    entry per core vertex with complement edges, sorted by `attach`: all the
+    edges hanging there, as one tree.  The core of
+    `MetricGraph(range(4), [(0,0,0,1),(1,0,1,1),(2,0,2,1),(3,1,3,1)])` is the
+    loop 0; its complement is the single entry of edges [1, 2, 3] at 0."""
 
     graph: MetricGraph
     core: MetricGraph
-    complement: tuple[tuple[MetricGraph, int], ...]
     branch_points: frozenset[int]
-    segments: tuple[Segment, ...]
 
     @property
     def is_empty(self) -> bool:
         return not self.core.edge_ids and not self.core.vertex_ids
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        g = self.graph
+        if g._segments is None:
+            g._segments = _segments(self.core, self.branch_points)
+        return g._segments
+
+    @property
+    def complement(self) -> tuple[tuple[MetricGraph, int], ...]:
+        g = self.graph
+        if g._complement is None:
+            # Attach points only exist for a non-empty core; a contractible
+            # graph is its own (unattached) complement.
+            g._complement = (_complement_components(g, self.core.vertex_ids, self.core.edge_ids)
+                             if self.core.vertex_ids else ())
+        return g._complement
 
 
 def compute_core(g: MetricGraph) -> CoreDecomposition:
@@ -100,11 +117,7 @@ def _decompose(g: MetricGraph):
         alive_v = set()  # a tree prunes to a point: the core is empty
 
     core = g.subgraph(alive_e, extra_vertices=alive_v)
-    # Attach points only exist for a non-empty core; a contractible graph is
-    # its own (unattached) complement.
-    complement = _complement_components(g, alive_v, alive_e) if alive_v else ()
-    branch = frozenset(v for v in alive_v if degree[v] >= 3)
-    return core, complement, branch, _segments(core, branch)
+    return core, frozenset(v for v in alive_v if degree[v] >= 3)
 
 
 def _find(parent: dict[int, int], x: int) -> int:

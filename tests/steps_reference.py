@@ -47,7 +47,7 @@ def reference_word_to_loop(basis, w):
     for letter in w:
         if letter == 0 or abs(letter) > basis.rank:
             raise WordError(f"generator index {letter} out of range")
-        for step in basis._gen_blocks[letter]:
+        for step in basis._gen_block(letter):
             if steps and steps[-1] == step.reverse():
                 steps.pop()
             else:

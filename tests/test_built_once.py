@@ -5,8 +5,8 @@
   builds from the same rows, and raise the same errors.
 - `hull._segments` traces each arc once and builds one `EdgePath` per
   segment: it must equal the frozen tracer in `segments_reference`.
-- `Basis` builds its generator blocks from root steps: they must equal the
-  blocks built through `tree_path`.
+- `Basis` builds its generator blocks from root steps, each on first use:
+  they must equal the blocks built through `tree_path`.
 - Connectivity is searched once per graph, across `spanning_tree`,
   `require_valid` and `compute_core`.
 - `cli.main` builds its parser once and reuses it: repeated calls, with a
@@ -134,8 +134,8 @@ def test_basis_blocks_equal_tree_path_blocks():
             block = tuple(reduce_steps(basis.tree_path(basis.basepoint, rec.u).steps
                                        + (DirectedEdge(eid, False),)
                                        + basis.tree_path(rec.v, basis.basepoint).steps))
-            assert basis._gen_blocks[idx] == block
-            assert basis._gen_blocks[-idx] == tuple(s.reverse() for s in reversed(block))
+            assert basis._gen_block(idx) == block
+            assert basis._gen_block(-idx) == tuple(s.reverse() for s in reversed(block))
 
 
 def test_one_connectivity_search_per_graph(monkeypatch):

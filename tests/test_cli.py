@@ -10,9 +10,10 @@ from helpers import BAD_HOM_FILES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsgraph import read_graph, read_truth, spanning_tree
+from mlsgraph import parse_length, read_graph, read_truth, spanning_tree
 from mlsgraph.cli import main
 from mlsgraph.fungroup import read_hom
+from mlsgraph.graphs import read_graph_comments
 
 
 def run(capsys, *argv):
@@ -370,22 +371,51 @@ def mutated_pair(draw, count=3):
     return files
 
 
-@given(mutated_pair())
-@settings(max_examples=100, deadline=None)
-def test_reconstruct_exit_code_contract_fuzz(files):
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = [str(Path(tmp) / name) for name in ("g1.txt", "g2.txt", "hom.txt")]
-        for path, data in zip(paths, files):
-            Path(path).write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["reconstruct", *paths])
+def _write_and_run(tmp, command, files):
+    """`main([command, *file names])` on the given file bytes: the exit code
+    and stdout, after checking the exit-code contract."""
+    paths = [str(Path(tmp) / f"g{k}.txt") for k in range(len(files))]
+    for path, data in zip(paths, files):
+        Path(path).write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *paths])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error:")
-    else:
-        assert out.getvalue().splitlines()[-1].startswith("verdict ")
+    return code, out.getvalue()
+
+
+@given(mutated_pair())
+@settings(max_examples=100, deadline=None)
+def test_reconstruct_exit_code_contract_fuzz(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = _write_and_run(tmp, "reconstruct", files)
+    if code != 2:
+        assert out.splitlines()[-1].startswith("verdict ")
+
+
+@given(mutated_pair(count=1))
+@settings(max_examples=100, deadline=None)
+def test_core_exit_code_contract_fuzz(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = _write_and_run(tmp, "core", files)
+    assert code != 1
+    if code == 0:
+        segments = read_graph_comments(out, "segment")
+        assert sum(parse_length(fields[2]) for fields in segments) == \
+            read_graph(out).total_length()
+
+
+@given(mutated_pair(count=2))
+@settings(max_examples=100, deadline=None)
+def test_check_iso_exit_code_contract_fuzz(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = _write_and_run(tmp, "check-iso", files)
+    if code != 2:
+        verdict = out.splitlines()[-1]
+        assert verdict.startswith("verdict ACCEPT" if code == 0 else "verdict REJECT")
 
 
 @given(mutated_pair(count=1))

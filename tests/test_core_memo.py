@@ -2,17 +2,24 @@
 
 `compute_core` keeps the parts of its decomposition on the graph and wraps
 them anew on each call; `oracle._transition_tables` keeps the table.  A
-failure is not kept, and neither memo holds the graph, so a graph is freed
-by reference counting alone.
+core's segments and complement, and a basis's generator blocks, are built
+on first read and kept, so a verdict builds only what it reads.  A failure
+is not kept, and no memo holds the graph, so a graph is freed by reference
+counting alone.
 """
 
+import contextlib
 import gc
+import io
 import weakref
 
 import pytest
+from helpers import disguise_instances
+from test_sweep_order import _rank12_negatives
 
-from mlsgraph import GraphError, MetricGraph, compute_core, random_graph
-from mlsgraph import hull, oracle
+from mlsgraph import (GraphError, IsometryCertificate, MetricGraph, compute_core, disguise,
+                      random_graph, reconstruct, spanning_tree, word_to_loop)
+from mlsgraph import cli, fungroup, hull, oracle, rigidity
 from mlsgraph.hull import core_loop_union_agrees
 
 
@@ -91,5 +98,90 @@ def test_memos_make_no_reference_cycle():
         ref = weakref.ref(g)
         del g
         assert ref() is None
+        # Again with every lazy part read: segments, complement, all blocks.
+        g = random_graph(0, 7, 3, 5)
+        d = compute_core(g)
+        assert d.segments and d.complement
+        basis = spanning_tree(g)
+        for k in range(1, basis.rank + 1):
+            word_to_loop(basis, (k, -k, -k))
+        assert len(basis._gen_blocks) == 2 * basis.rank
+        ref = weakref.ref(g)
+        del g, d, basis
+        assert ref() is None
     finally:
         gc.enable()
+
+
+def _counted_parts(monkeypatch):
+    """Counters on the builders of segments, complements and blocks."""
+    blocks = []
+    build = fungroup.Basis._loop_steps
+
+    def counting_block(basis, k, at):
+        blocks.append((basis, k))
+        return build(basis, k, at)
+
+    monkeypatch.setattr(fungroup.Basis, "_loop_steps", counting_block)
+    return (_counted(monkeypatch, hull, "_segments"),
+            _counted(monkeypatch, hull, "_complement_components"), blocks)
+
+
+def test_cli_reject_builds_only_the_blocks_it_reads(monkeypatch, tmp_path):
+    segments, complements, blocks = _counted_parts(monkeypatch)
+    queried = []
+    real = rigidity.marked_length
+
+    def recording(basis, w):
+        queried.append((basis, w))
+        return real(basis, w)
+
+    monkeypatch.setattr(rigidity, "marked_length", recording)
+    for argv in _rank12_negatives(3, 8, tmp_path):
+        blocks.clear()
+        queried.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 1
+        assert not segments and not complements
+        letters = {(id(b), x) for b, w in queried for x in w}
+        assert sorted((id(b), k) for b, k in blocks) == sorted(letters)
+        assert len(letters) < 48  # 2 * rank blocks on each of the two sides
+
+
+def test_union_check_and_disguise_build_no_segments(monkeypatch):
+    segments, complements, _ = _counted_parts(monkeypatch)
+    for g in (_pendant_theta(), random_graph(7, 5, 3, 6), MetricGraph([0, 1], [(0, 0, 1, 1)])):
+        assert core_loop_union_agrees(g)
+    for seed in range(10):
+        disguise(random_graph(seed, 6, 3, 5), seed)
+    assert not segments and not complements
+
+
+def test_accept_builds_segments_once_per_core(monkeypatch):
+    segments, complements, _ = _counted_parts(monkeypatch)
+    kinds = set()
+    for g, inst in disguise_instances(30):
+        segments.clear()
+        cert = reconstruct(g, inst.graph, inst.hom, 4)
+        assert isinstance(cert, IsometryCertificate)
+        # A circle's certificate is read off its circumference alone.
+        built = [cert.core1.core, cert.core2.core] if cert.kind == "branched" else []
+        assert [args[0] for args in segments] == built
+        kinds.add(cert.kind)
+    assert kinds == {"branched", "circle"} and not complements
+
+
+def test_each_part_is_built_once(monkeypatch):
+    segments, complements, blocks = _counted_parts(monkeypatch)
+    g = _pendant_theta()
+    first = compute_core(g)
+    assert not segments and not complements
+    assert first.segments is compute_core(g).segments is first.segments
+    assert first.complement is compute_core(g).complement is first.complement
+    assert len(segments) == len(complements) == 1
+    basis = spanning_tree(g)
+    assert not blocks
+    word_to_loop(basis, (1, 1, -2))
+    word_to_loop(basis, (-2, 1))
+    assert basis._gen_block(1) is basis._gen_block(1)
+    assert [k for _, k in blocks] == [1, -2]

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from length_reference import reference_parse_length
 
 from mlsgraph import (GraphError, MetricGraph, attach_tree, format_length, graph_distance,
                       parse_length, random_graph, read_graph, subdivide_edge, validate_graph,
@@ -20,6 +21,39 @@ def test_parse_length_forms():
     assert parse_length("10") == 10
     with pytest.raises(GraphError):
         parse_length("abc")
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+# Digit fields at the `MAX_LENGTH_DIGITS` edge, one character either side of
+# it, some all zeros or with leading zeros.
+EDGE_FIELDS = st.builds(lambda k, lead, fill: (lead + fill * k)[:k],
+                        st.integers(MAX_LENGTH_DIGITS - 1, MAX_LENGTH_DIGITS + 1),
+                        st.sampled_from(["", "0", "00", "1"]), st.sampled_from("019"))
+
+
+LENGTH_TEXTS = st.one_of(
+    st.from_regex(r"\A[-+]?[0-9_]{0,8}(/[-+]?[0-9_]{0,8})?\Z"),
+    st.from_regex(r"\A[-+]?[0-9]{0,4}(\.[0-9]{0,3})?([eE][-+]?[0-9]{1,4})?(/[0-9]{1,3})?\Z"),
+    st.text(alphabet="0123456789/²٣０₃-+_eE. ", max_size=8),
+    st.tuples(EDGE_FIELDS, st.sampled_from(["", "/"]),
+              EDGE_FIELDS | st.sampled_from(["0", "00", "7", ""]))
+    .map("".join),
+    st.sampled_from(["0", "00", "0/0", "1/00", "007/010", "3/-4", " 3/4", "3 ", "²", "1/²",
+                     "٣/4", "1_0/2", "1e5", "3/7e5", "+5/6", "-5/6", "5/+6"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(LENGTH_TEXTS)
+def test_parse_length_matches_the_frozen_parser(text):
+    """The same value, or the same exception type and message, as the
+    parser that sent every literal through `Fraction(text)`."""
+    assert _parsed(parse_length, text) == _parsed(reference_parse_length, text)
 
 
 def _digits(n: int) -> int:

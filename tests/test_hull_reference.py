@@ -16,11 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _connected_multigraphs
 
-from mlsgraph import GraphError, MetricGraph, random_graph
-from mlsgraph.hull import _decompose, _retracts_onto
+from mlsgraph import GraphError, MetricGraph, compute_core, random_graph
+from mlsgraph.hull import _retracts_onto
 
 LENGTHS = [1, 2, Fraction(1, 2), Fraction(2, 3), Fraction(7, 4)]
 FAMILY = list(_connected_multigraphs(4, 5))
+
+
+def _decompose(g):
+    """The four parts, read through `compute_core` (segments and complement
+    are built on first read)."""
+    d = compute_core(g)
+    return d.core, d.complement, d.branch_points, d.segments
 
 
 def _shape(decompose, g):

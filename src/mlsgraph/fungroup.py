@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .graphs import DirectedEdge, GraphError, MetricGraph
-from .paths import CyclicPath, EdgePath, _reversed_steps, cyclically_reduce, least_rotation
+from .graphs import DirectedEdge, GraphError, MetricGraph, parse_index
+from .paths import (CyclicPath, EdgePath, _reversed_steps, cyclically_reduce, least_rotation,
+                    least_rotation_start)
 
 Word = tuple[int, ...]
 
@@ -88,7 +89,7 @@ def parse_word(text: str) -> Word:
         if not body.startswith("g"):
             raise WordError(f"bad word token {token!r}")
         try:
-            k = int(body[1:])
+            k = parse_index(body[1:])
         except ValueError:
             raise WordError(f"bad word token {token!r}") from None
         if k <= 0:
@@ -315,7 +316,7 @@ def spectrum_table(basis: Basis, max_len: int) -> list[tuple[Word, Fraction]]:
             f"spectrum table up to length {max_len} exceeds the budget of {limit} words")
     # A class's key is its one cyclically reduced word that is its least rotation.
     rows = [(w, marked_length(basis, w)) for w in enumerate_reduced_words(r, max_len)
-            if w[0] != -w[-1] and w == least_rotation(w)]
+            if w[0] != -w[-1] and least_rotation_start(w) == 0]
     return sorted(rows, key=lambda kv: (len(kv[0]), kv[0]))
 
 
@@ -439,17 +440,17 @@ def read_hom(text: str, source: Basis, target: Basis) -> Hom:
             continue
         if not line.startswith("gen "):
             raise WordError(f"line {lineno}: unknown directive")
-        head, _, body = line.partition("=")
+        head, eq, body = line.partition("=")
         fields = head.split()
-        if len(fields) != 2 or not fields[1].startswith("g"):
+        word_text = body.strip()
+        if len(fields) != 2 or not fields[1].startswith("g") or not eq or not word_text:
             raise WordError(f"line {lineno}: malformed gen line")
         try:
-            k = int(fields[1][1:])
+            k = parse_index(fields[1][1:])
         except ValueError:
             raise WordError(f"line {lineno}: bad generator name {fields[1]!r}") from None
         if k != len(current) + 1:
             raise WordError(f"line {lineno}: generators must appear in index order")
-        word_text = body.strip()
         current.append(() if word_text == "-" else parse_word(word_text))
     if not saw_header:
         raise WordError("missing hom header")

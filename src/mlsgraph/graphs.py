@@ -58,6 +58,15 @@ def parse_length(text: str) -> Fraction:
     return value
 
 
+def parse_index(text: str) -> int:
+    """An id or index written in ASCII digits only.  `int` also reads a sign,
+    `_` between digits and the digits of other scripts; this raises
+    ValueError on them, as `int` does on other text."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not an index of ASCII digits: {text!r}")
+    return int(text)
+
+
 def format_length(value: Fraction) -> str:
     """Canonical text form of a rational length (`p` or `p/q`)."""
     if value.denominator == 1:
@@ -471,10 +480,11 @@ def read_graph(text: str) -> MetricGraph:
                 _, name = fields if len(fields) > 1 else (kind, "g")
             elif kind == "vertex":
                 _, v = fields  # ValueError on a missing or extra field
-                vertices.append(int(v))
+                vertices.append(parse_index(v))
             elif kind == "edge":
                 _, eid, u, v, length = fields
-                eid, u, v, length = int(eid), int(u), int(v), parse_length(length)
+                eid, u, v = parse_index(eid), parse_index(u), parse_index(v)
+                length = parse_length(length)
                 if length.numerator <= 0:
                     raise GraphError(f"non-positive length on edge {eid}")
                 rows.append((eid, u, v, length))

@@ -5,7 +5,10 @@ vertex (so the empty, constant path is representable).  A path is reduced
 when no step is immediately undone by its reverse; every path reduces to a
 unique reduced path in its endpoint-fixed homotopy class, computed here by
 a single stack scan.  Cyclic paths represent free homotopy classes and are
-stored in a canonical rotation.
+stored in a canonical rotation.  `least_rotation_start` finds a least
+rotation in linear time; it is the one such search in the package, behind
+canonical cyclic paths and words and the spectrum sweep's and table's
+choice of one word per class.
 
 Concatenation helpers take their arguments in traversal order throughout.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graphs import DirectedEdge, GraphError, MetricGraph
+from .graphs import DirectedEdge, GraphError, MetricGraph, parse_index
 
 
 class PathError(ValueError):
@@ -142,9 +145,40 @@ class CyclicPath:
         return f"CyclicPath({' '.join(map(str, self.steps))})"
 
 
-def least_rotation(seq: tuple) -> tuple:
-    """The lexicographically least rotation of a non-empty tuple."""
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+def least_rotation_start(seq: Sequence) -> int:
+    """The least index at which the lexicographically least rotation of a
+    non-empty tuple or list starts, in linear time.
+
+    Two candidate starts i < j are compared k items in.  At the first
+    difference the greater start is dropped together with the k starts
+    after it, each of whose rotations is greater than the one at the same
+    offset from the other candidate.  A comparison either moves k on or
+    drops k + 1 starts, so there are O(len(seq)) of them.
+    """
+    n = len(seq)
+    if not n:
+        raise ValueError("least_rotation_start() arg is an empty sequence")
+    s = seq + seq
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i >= j:  # the candidates are j and i, or j and j + 1 if i met j
+            i, j = j, max(i, j + 1)
+        k = 0
+    return i
+
+
+def least_rotation(seq: Sequence) -> Sequence:
+    """The lexicographically least rotation of a non-empty tuple or list."""
+    i = least_rotation_start(seq)
+    return seq[i:] + seq[:i]
 
 
 # -- reduction --------------------------------------------------------
@@ -347,7 +381,7 @@ def parse_path(g: MetricGraph, text: str, at: int | None = None) -> EdgePath:
         if not body.startswith("e"):
             raise PathError(f"bad path token {token!r}")
         try:
-            eid = int(body[1:])
+            eid = parse_index(body[1:])
         except ValueError:
             raise PathError(f"bad path token {token!r}") from None
         steps.append(DirectedEdge(eid, rev))

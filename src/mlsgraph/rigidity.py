@@ -36,7 +36,7 @@ from .fungroup import (Basis, Hom, Word, apply_hom, concat_words, cyclic_reduce_
 from .graphs import DirectedEdge, GraphError, MetricGraph, require_valid
 from .hull import CoreDecomposition, compute_core, is_circle
 from .paths import (EdgePath, PathError, cyclic_reduce_based, format_path, is_reduced,
-                    map_chains, shortest_path)
+                    least_rotation, least_rotation_start, map_chains, shortest_path)
 
 
 class RigidityError(ValueError):
@@ -578,7 +578,7 @@ def _first_of_class(w: Word) -> bool:
         return False
     key = [2 * abs(x) - (x > 0) for x in w]
     inv = [2 * abs(x) - (x < 0) for x in reversed(w)]
-    return all(key <= key[i:] + key[:i] and key <= inv[i:] + inv[:i] for i in range(len(key)))
+    return least_rotation_start(key) == 0 and key <= least_rotation(inv)
 
 
 def _spectrum_sweep(basis1: Basis, basis2: Basis, hom: Hom, max_len: int, after: int = 0) -> None:

@@ -1,6 +1,7 @@
 """Shared test utilities: random reduced paths and their re-expansions,
 homomorphisms composed with Nielsen moves, the acceptance suite's
-disguise and negative-instance streams, and malformed hom files."""
+disguise and negative-instance streams, malformed hom files, and ids that
+the text formats refuse."""
 
 from fractions import Fraction
 
@@ -110,4 +111,23 @@ BAD_HOM_FILES = [
     ("hom phi\ngen g1 = g1\ngen g2 = g2\ninverse\ninverse\n",
      "line 5: repeated inverse section"),
     ("gen g1 = g1\ngen g2 = g2\n", "missing hom header"),
+    ("hom phi\ngen g1\ngen g2 = g2\n", "line 2: malformed gen line"),
+    ("hom phi\ngen g1 = g1\ngen g2 =\n", "line 3: malformed gen line"),
+]
+
+# Ids and indices that Python's `int` reads but the text formats refuse: a
+# sign, `_` between digits and non-ASCII digits.  Each is (format, text,
+# message): a word or path literal, a rank-2 hom file or a graph file.
+NON_DIGIT_INDICES = [
+    ("word", "g+1", "bad word token 'g+1'"),
+    ("word", "g1_0", "bad word token 'g1_0'"),
+    ("word", "g\uff12", "bad word token 'g\uff12'"),
+    ("word", "g0", "generator index must be positive in 'g0'"),
+    ("path", "e+1", "bad path token 'e+1'"),
+    ("path", "e0_0", "bad path token 'e0_0'"),
+    ("hom", "hom phi\ngen g+1 = g1\ngen g2 = g2\n", "line 2: bad generator name 'g+1'"),
+    ("graph", "graph g\nvertex +0\n", "line 2: malformed 'vertex' line"),
+    ("graph", "graph g\nvertex 0\nvertex 1_0\n", "line 3: malformed 'vertex' line"),
+    ("graph", "graph g\nvertex \uff10\n", "line 2: malformed 'vertex' line"),
+    ("graph", "graph g\nvertex 0\nedge +0 0 0 1\n", "line 3: malformed 'edge' line"),
 ]

@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
-from helpers import BAD_HOM_FILES
+from helpers import BAD_HOM_FILES, NON_DIGIT_INDICES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -247,6 +247,19 @@ def test_reconstruct_bad_hom_header_is_usage_error(theta_file, tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind, text, message", NON_DIGIT_INDICES)
+def test_ids_int_would_read_are_usage_errors(theta_file, tmp_path, capsys, kind, text,
+                                             message):
+    path = tmp_path / "in.txt"
+    path.write_text(f"hom phi\ngen g1 = {text}\ngen g2 = g2\n" if kind == "word" else text,
+                    encoding="utf-8")
+    argv = {"word": ["reconstruct", theta_file, theta_file, str(path)],
+            "path": ["reduce", theta_file, "--path", text],
+            "hom": ["reconstruct", theta_file, theta_file, str(path)],
+            "graph": ["core", str(path)]}[kind]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_disguise_of_tree_rejected(tmp_path, capsys):

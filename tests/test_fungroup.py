@@ -1,10 +1,10 @@
 import pytest
-from helpers import BAD_HOM_FILES
+from helpers import BAD_HOM_FILES, NON_DIGIT_INDICES
 
 from mlsgraph import (Basis, GraphError, Hom, MetricGraph, WordError, apply_hom,
                       canonical_cyclic_word, format_word, identity_hom, loop_to_word,
-                      marked_length, parse_word, random_graph, read_hom, spanning_tree,
-                      spectrum_table, word_to_loop, write_hom)
+                      marked_length, parse_word, random_graph, read_graph, read_hom,
+                      spanning_tree, spectrum_table, word_to_loop, write_hom)
 from mlsgraph.fungroup import (concat_words, cyclic_reduce_word, enumerate_reduced_words,
                                format_spectrum_table, free_reduce, invert_word, word_power)
 from mlsgraph.paths import format_path, parse_path
@@ -288,6 +288,21 @@ def test_read_hom_bare_header(theta):
     b = spanning_tree(theta)
     assert read_hom("# comment\n\n  hom  # named nothing\ngen g1 = g1\ngen g2 = g2\n",
                     b, b).images == ((1,), (2,))
+
+
+def test_read_hom_dash_is_the_empty_word(theta):
+    b = spanning_tree(theta)
+    assert read_hom("hom\ngen g1 = -\ngen g2 = g2\n", b, b).images == ((), (2,))
+
+
+@pytest.mark.parametrize("kind, text, message", NON_DIGIT_INDICES)
+def test_parsers_refuse_ids_int_would_read(theta, kind, text, message):
+    b = spanning_tree(theta)
+    parse = {"word": parse_word, "path": lambda t: parse_path(theta, t),
+             "hom": lambda t: read_hom(t, b, b), "graph": read_graph}[kind]
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", ["", "two words", "a#b", "tab\tname"])

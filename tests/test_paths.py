@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,8 @@ from mlsgraph import (CyclicPath, EdgePath, PathError, concat_reduce, cyclic_equ
                       parse_path, path_length, path_loop_path_normal_form, random_graph,
                       reduce_path, shortest_path)
 from mlsgraph.graphs import DirectedEdge
-from mlsgraph.paths import chain_traversals, cyclic_reduce_based, map_chains
+from mlsgraph.paths import (chain_traversals, cyclic_reduce_based, least_rotation,
+                            least_rotation_start, map_chains)
 
 
 def P(g, text, at=None):
@@ -34,6 +36,55 @@ def test_empty_literal_needs_base(theta):
         parse_path(theta, "")
     p = parse_path(theta, "", at=1)
     assert p.is_empty() and p.start == 1
+
+
+# -- least rotation -----------------------------------------------------
+
+def _least_rotation_by_definition(seq):
+    """Every rotation built, the least taken: that rotation and the least
+    index at which it starts."""
+    rotations = [seq[i:] + seq[:i] for i in range(len(seq))]
+    least = min(rotations)
+    return least, rotations.index(least)
+
+
+def test_least_rotation_on_every_short_ternary_tuple():
+    for n in range(1, 8):
+        for seq in itertools.product(range(3), repeat=n):
+            least, start = _least_rotation_by_definition(seq)
+            assert (least_rotation_start(seq), least_rotation(seq)) == (start, least)
+
+
+@pytest.mark.parametrize("seq, start", [
+    ((0,), 0), ((1, 0), 1), ((1, 0, 1, 0), 1), ((0, 0, 0), 0), ((2, 1, 2, 1, 2, 1), 1),
+    ((1, 0, 0, 1, 0, 0), 1), ((0, 1, 0, 0, 1, 0), 2), ((0, 1, 0, 1, 0, 0), 4)])
+def test_least_rotation_start_is_the_least_index(seq, start):
+    assert least_rotation_start(seq) == start
+
+
+_small_alphabet = st.lists(st.integers(0, 2), min_size=1, max_size=40).map(tuple)
+_periodic = st.builds(lambda block, times: tuple(block) * times,
+                      st.lists(st.integers(0, 2), min_size=1, max_size=6), st.integers(1, 8))
+_steps = st.lists(st.builds(DirectedEdge, st.integers(0, 3), st.booleans()),
+                  min_size=1, max_size=30).map(tuple)
+# The letter codes `rigidity._first_of_class` compares, in a list.
+_codes = st.lists(st.integers(1, 6), min_size=1, max_size=30)
+
+
+@given(st.one_of(_small_alphabet, _periodic, _steps, _codes))
+@settings(max_examples=400, deadline=None)
+def test_least_rotation_matches_its_definition(seq):
+    least, start = _least_rotation_by_definition(seq)
+    assert least_rotation_start(seq) == start
+    assert least_rotation(seq) == least
+
+
+@pytest.mark.parametrize("empty", [(), []])
+def test_least_rotation_of_empty_sequence_raises(empty):
+    with pytest.raises(ValueError):
+        least_rotation_start(empty)
+    with pytest.raises(ValueError):
+        least_rotation(empty)
 
 
 # -- reduction ----------------------------------------------------------

@@ -19,8 +19,8 @@ from itertools import count, islice
 
 from .fungroup import (Basis, Hom, Word, apply_hom, cyclic_reduce_word, format_word,
                        invert_word, loop_class_word, loop_to_word, parse_word, spanning_tree)
-from .graphs import (DirectedEdge, MetricGraph, _random_tree_rows, read_graph_comments,
-                     require_valid)
+from .graphs import (RANDOM_TREE_LENGTH_BOUND, DirectedEdge, MetricGraph, _random_tree_rows,
+                     parse_index, read_graph_comments, require_valid)
 from .hull import compute_core
 from .paths import EdgePath, PathError, _reversed_steps, map_chains
 
@@ -82,7 +82,7 @@ def disguise(g: MetricGraph, seed: int) -> DisguisedInstance:
             verts.update(ends)
     for _ in range(rng.randint(1, 2)):
         at = rng.choice(sorted(verts))
-        tree = _random_tree_rows(rng, rng.randint(2, 4), 4, 6)
+        tree = _random_tree_rows(rng, rng.randint(2, 4), RANDOM_TREE_LENGTH_BOUND)
         ids = [at, *islice(fresh_v, len(tree))]  # tree vertex w becomes ids[w]
         rows.update((next(fresh_e), (ids[p], ids[c], length)) for _, p, c, length in tree)
         verts.update(ids)
@@ -157,15 +157,21 @@ def truth_comments(inst: DisguisedInstance) -> list[str]:
 
 
 def read_truth(text: str) -> tuple[dict[int, int], Word]:
-    """Parse the `# truth ...` sidecar block of an emitted graph file."""
+    """Parse the `# truth ...` sidecar block of an emitted graph file: lines
+    `branch <x> <y>`, ids read as `read_graph` reads them, and `tau <word>`,
+    `-` for the empty word.  Raises DisguiseError on any other truth line."""
     branch_map = {}
     tau: Word = ()
     for fields in read_graph_comments(text, "truth"):
-        if not fields:
-            continue
-        if fields[0] == "branch" and len(fields) == 3:
-            branch_map[int(fields[1])] = int(fields[2])
-        elif fields[0] == "tau":
-            literal = " ".join(fields[1:])
-            tau = () if literal == "-" else parse_word(literal)
+        kind, args = fields[0] if fields else "", fields[1:]
+        try:
+            if kind == "branch" and len(args) == 2:
+                branch_map[parse_index(args[0])] = parse_index(args[1])
+                continue
+            if kind == "tau" and args:
+                tau = () if args == ["-"] else parse_word(" ".join(args))
+                continue
+        except ValueError:
+            pass
+        raise DisguiseError(f"malformed truth line: {' '.join(['# truth', *fields])!r}")
     return branch_map, tau

@@ -284,10 +284,8 @@ def loop_class_word(basis: Basis, loop: EdgePath) -> Word:
 def marked_length(basis: Basis, w: Word) -> Fraction:
     """Length of the cyclically reduced loop freely homotopic to the word's
     loop; zero iff the word is the identity."""
-    core, _ = cyclically_reduce(word_to_loop(basis, w))
-    if core is None:
-        return Fraction(0)
-    return core.length
+    core = word_cyclic_core(basis, w)
+    return Fraction(0) if core is None else core.length
 
 
 def word_cyclic_core(basis: Basis, w: Word) -> CyclicPath | None:

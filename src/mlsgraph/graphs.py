@@ -102,8 +102,9 @@ class MetricGraph:
 
     The constructor is permissive about metric invariants (non-positive
     lengths, dangling endpoints, disconnection) so that `validate` can
-    report on them; duplicate ids and non-integer ids are rejected outright
-    because the representation cannot hold them.
+    report on them; duplicate ids, ids that are not plain `int`s and `bool`
+    endpoints are rejected outright because the representation cannot hold
+    them (`write_graph` would write a `bool` as `True`).
     """
 
     # Built once per graph, on first use, by `is_connected`, by
@@ -124,15 +125,18 @@ class MetricGraph:
     ) -> None:
         vs: set[int] = set()
         for v in vertices:
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise GraphError(f"vertex id must be a non-negative integer, got {v!r}")
             if v in vs:
                 raise GraphError(f"duplicate vertex id {v}")
             vs.add(v)
         recs: dict[int, EdgeRecord] = {}
         for eid, u, v, length in edges:
-            if not isinstance(eid, int) or eid < 0:
+            if type(eid) is not int or eid < 0:
                 raise GraphError(f"edge id must be a non-negative integer, got {eid!r}")
+            if type(u) is bool or type(v) is bool:
+                raise GraphError(
+                    f"edge {eid}: endpoints must be integer vertex ids, got {u!r} and {v!r}")
             if eid in recs:
                 raise GraphError(f"duplicate edge id {eid}")
             if isinstance(length, str):
@@ -404,42 +408,47 @@ def attach_tree(g: MetricGraph, v: int, tree: MetricGraph, root: int) -> MetricG
     return MetricGraph(verts, rows, name=g.name)
 
 
-def random_tree(rng: random.Random, size: int, length_bound: int = 4, den_bound: int = 6) -> MetricGraph:
+# Random lengths are p/q with q at most RANDOM_DEN_BOUND; a random tree's
+# lengths are at most RANDOM_TREE_LENGTH_BOUND.
+RANDOM_DEN_BOUND = 6
+RANDOM_TREE_LENGTH_BOUND = 4
+
+
+def random_tree(rng: random.Random, size: int) -> MetricGraph:
     """Random tree on `size` vertices with random rational edge lengths."""
-    return MetricGraph(range(size), _random_tree_rows(rng, size, length_bound, den_bound),
+    return MetricGraph(range(size), _random_tree_rows(rng, size, RANDOM_TREE_LENGTH_BOUND),
                        name="tree")
 
 
-def _random_tree_rows(rng: random.Random, size: int, length_bound: int,
-                      den_bound: int) -> list[tuple[int, int, int, Fraction]]:
+def _random_tree_rows(rng: random.Random, size: int,
+                      length_bound: int) -> list[tuple[int, int, int, Fraction]]:
     """Edge `i - 1` joins vertex `i` to a uniform earlier vertex, for each
     `i` in 1..size-1; the parent is drawn before the length."""
-    return [(i - 1, rng.randrange(i), i, _random_length(rng, length_bound, den_bound))
+    return [(i - 1, rng.randrange(i), i, _random_length(rng, length_bound))
             for i in range(1, size)]
 
 
-def _random_length(rng: random.Random, length_bound: int, den_bound: int) -> Fraction:
-    den = rng.randint(1, den_bound)
+def _random_length(rng: random.Random, length_bound: int) -> Fraction:
+    den = rng.randint(1, RANDOM_DEN_BOUND)
     num = rng.randint(1, length_bound * den)
     return Fraction(num, den)
 
 
-def random_graph(seed: int, vertices: int, extra_edges: int, length_bound: int,
-                 den_bound: int = 6) -> MetricGraph:
+def random_graph(seed: int, vertices: int, extra_edges: int, length_bound: int) -> MetricGraph:
     """Deterministic random connected multigraph.
 
     A random spanning tree plus `extra_edges` uniformly random edges
     (self-loops and parallel edges allowed); lengths are uniform random
-    rationals in (0, length_bound] with denominator at most `den_bound`.
+    rationals in (0, length_bound] with denominator at most `RANDOM_DEN_BOUND`.
     """
     if vertices <= 0 or extra_edges < 0 or length_bound <= 0:
         raise GraphError("random_graph parameters must be positive")
     rng = random.Random(seed)
-    rows = _random_tree_rows(rng, vertices, length_bound, den_bound)
+    rows = _random_tree_rows(rng, vertices, length_bound)
     for eid in range(vertices - 1, vertices - 1 + extra_edges):
         u = rng.randrange(vertices)
         v = rng.randrange(vertices)
-        rows.append((eid, u, v, _random_length(rng, length_bound, den_bound)))
+        rows.append((eid, u, v, _random_length(rng, length_bound)))
     return MetricGraph(range(vertices), rows, name=f"rand-{seed}")
 
 

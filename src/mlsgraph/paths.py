@@ -7,8 +7,9 @@ unique reduced path in its endpoint-fixed homotopy class, computed here by
 a single stack scan.  Cyclic paths represent free homotopy classes and are
 stored in a canonical rotation.  `least_rotation_start` finds a least
 rotation in linear time; it is the one such search in the package, behind
-canonical cyclic paths and words and the spectrum sweep's and table's
-choice of one word per class.
+every canonical form (cyclic paths and words, and `CyclicPath.based_at`'s
+least rotation from a vertex) and the spectrum sweep's and table's choice of
+one word per class.
 
 Concatenation helpers take their arguments in traversal order throughout.
 """
@@ -100,7 +101,8 @@ def _reversed_steps(steps: Sequence[DirectedEdge]) -> tuple[DirectedEdge, ...]:
 
 @dataclass(frozen=True)
 class CyclicPath:
-    """A cyclically chained edge sequence considered up to rotation.
+    """A closed edge path read up to rotation: `EdgePath`'s steps, length and
+    support, with no start vertex.
 
     The stored tuple is the canonical representative: the rotation whose
     directed-edge sequence is lexicographically least.
@@ -114,32 +116,28 @@ class CyclicPath:
         steps = tuple(steps)
         if not steps:
             raise PathError("a cyclic path needs at least one edge")
-        for step, nxt in zip(steps, steps[1:] + steps[:1]):
-            if graph.step_head(step) != graph.step_tail(nxt):
-                raise PathError("cyclic steps do not chain")
+        if not EdgePath(graph, graph.step_tail(steps[0]), steps).is_closed():
+            raise PathError("cyclic steps do not chain")
         return CyclicPath(graph, least_rotation(steps))
 
-    @property
-    def length(self) -> Fraction:
-        g = self.graph
-        return Fraction(sum(g.scaled_length(s.edge) for s in self.steps), g.length_scale)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(s.edge for s in self.steps)
+    length = EdgePath.length
+    support = EdgePath.support
+    __len__ = EdgePath.__len__
 
     def reverse(self) -> "CyclicPath":
-        return CyclicPath.from_steps(self.graph, _reversed_steps(self.steps))
+        return CyclicPath(self.graph, least_rotation(_reversed_steps(self.steps)))
 
     def based_at(self, vertex: int) -> EdgePath:
         """The lexicographically least rotation starting at `vertex`, as a based loop."""
-        steps = self.steps
-        starts = [i for i, s in enumerate(steps) if self.graph.step_tail(s) == vertex]
-        if not starts:
+        # Rotations from `vertex` have keys that start (False, .), so are least;
+        # two that agree for j steps stand at one vertex at step j, so their
+        # keys compare as their steps do, and tied rotations are equal.
+        steps, tail = self.steps, self.graph.step_tail
+        keys = [(tail(s) != vertex, s) for s in steps]
+        i = least_rotation_start(keys)
+        if keys[i][0]:
             raise PathError(f"cyclic path does not pass through vertex {vertex}")
-        return EdgePath(self.graph, vertex, min(steps[i:] + steps[:i] for i in starts))
-
-    def __len__(self) -> int:
-        return len(self.steps)
+        return EdgePath(self.graph, vertex, steps[i:] + steps[:i])
 
     def __repr__(self) -> str:
         return f"CyclicPath({' '.join(map(str, self.steps))})"
@@ -235,7 +233,7 @@ def cyclically_reduce(loop: EdgePath) -> tuple[CyclicPath | None, EdgePath]:
     based, conjugator = cyclic_reduce_based(loop)
     if based.is_empty():
         return None, conjugator
-    return CyclicPath.from_steps(loop.graph, based.steps), conjugator
+    return CyclicPath(loop.graph, least_rotation(based.steps)), conjugator
 
 
 def chain_traversals(steps: Sequence[DirectedEdge], chains, where: dict) -> list[tuple]:

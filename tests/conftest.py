@@ -1,6 +1,15 @@
-import pytest
+import os
+import sys
 
-from mlsgraph import MetricGraph
+# Write no bytecode under src/: a benchmark run in this checkout would load
+# it instead of compiling the package, which lowers its set-up time and peak
+# memory.  Subprocesses that tests start inherit the variable.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+import pytest  # noqa: E402
+
+from mlsgraph import MetricGraph  # noqa: E402
 
 
 @pytest.fixture

@@ -213,6 +213,6 @@ def test_repeated_main_calls_give_identical_results(tmp_path):
 def test_parser_is_not_built_at_import():
     code = ("import mlsgraph.cli as c, sys; "
             "sys.exit(c._parser.cache_info().currsize)")
-    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+    done = subprocess.run([sys.executable, "-B", "-c", code], env={"PYTHONPATH": str(SRC)},
                           timeout=60)
     assert done.returncode == 0

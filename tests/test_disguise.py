@@ -1,7 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
 from disguise_reference import reference_disguise
+from helpers import disguise_instances
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,13 +60,22 @@ def test_disguise_branch_map_is_ground_truth(pendant_theta):
 
 
 def test_truth_sidecar_roundtrip(dumbbell):
-    inst = disguise(dumbbell, 4)
-    text = write_graph(inst.graph, extra_comments=truth_comments(inst))
-    parsed = read_graph(text)
-    assert write_graph(parsed) == write_graph(inst.graph)
-    branch_map, tau = read_truth(text)
-    assert branch_map == inst.branch_map
-    assert tau == inst.tau
+    """On a disguise of the dumbbell and on c07's 200 disguises."""
+    for inst in [disguise(dumbbell, 4)] + [inst for _, inst in disguise_instances(200)]:
+        text = write_graph(inst.graph, extra_comments=truth_comments(inst))
+        assert write_graph(read_graph(text)) == write_graph(inst.graph)
+        assert read_truth(text) == (inst.branch_map, inst.tau)
+    assert read_truth("# truth tau -\n") == ({}, ())
+
+
+@pytest.mark.parametrize("line", [
+    "# truth branch +1 3", "# truth branch 1 \u0663", "# truth branch 1_0 2", "# truth branch a b",
+    "# truth branch 1", "# truth branch 1 2 3", "# truth tau", "# truth tau g0", "# truth tau -1",
+    "# truth tau - g1", "# truth", "# truth segment 0 1",
+])
+def test_read_truth_refuses_malformed_lines(line):
+    with pytest.raises(DisguiseError, match="malformed truth line: " + re.escape(repr(line))):
+        read_truth(f"graph g\nvertex 0\n# truth branch 0 0\n{line}\n")
 
 
 def test_disguise_of_circle():

@@ -173,6 +173,19 @@ def test_duplicate_ids_rejected():
         MetricGraph([0, 1], [(0, 0, 1, 1), (0, 1, 0, 2)])
 
 
+@pytest.mark.parametrize("vertices, edges, message", [
+    ([True, 2], [], "vertex id must be a non-negative integer, got True"),
+    ([0, 1, 2], [(False, 1, 2, 1)], "edge id must be a non-negative integer, got False"),
+    ([0, 1, 2], [(0, 1, True, 1)], "edge 0: endpoints must be integer vertex ids, got 1 and True"),
+    ([0, 1, 2], [(0, False, 2, 1)], "edge 0: endpoints must be integer vertex ids, got False and 2"),
+])
+def test_bool_ids_and_endpoints_rejected(vertices, edges, message):
+    """`bool` is an `int`, but `write_graph` would write it as `True`, which
+    `read_graph` refuses."""
+    with pytest.raises(GraphError, match=message):
+        MetricGraph(vertices, edges)
+
+
 def test_vertex_degree(theta):
     assert vertex_degree(theta, 0) == 3
     assert vertex_degree(theta, 1) == 3

@@ -2,14 +2,15 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mlsgraph import (CyclicPath, EdgePath, PathError, concat_reduce, cyclic_equal,
+from mlsgraph import (CyclicPath, EdgePath, MetricGraph, PathError, concat_reduce, cyclic_equal,
                       cyclic_equal_unoriented, cyclically_reduce, format_path, is_reduced,
                       parse_path, path_length, path_loop_path_normal_form, random_graph,
-                      reduce_path, shortest_path)
-from mlsgraph.graphs import DirectedEdge
+                      reduce_path, shortest_path, spanning_tree)
+from mlsgraph.fungroup import word_cyclic_core
+from mlsgraph.graphs import DirectedEdge, GraphError
 from mlsgraph.paths import (chain_traversals, cyclic_reduce_based, least_rotation,
                             least_rotation_start, map_chains)
 
@@ -173,6 +174,61 @@ def test_cyclic_reduce_roundtrip(theta, dumbbell):
 def test_cyclically_reduce_rejects_open_path(theta):
     with pytest.raises(PathError):
         cyclically_reduce(P(theta, "e0"))
+
+
+# -- cyclic paths ------------------------------------------------------------
+
+@pytest.mark.parametrize("steps, error", [
+    ((), PathError),
+    ((DirectedEdge(0), DirectedEdge(0)), PathError),  # e0 ends at 1, e0 starts at 0
+    ((DirectedEdge(0), DirectedEdge(1, True), DirectedEdge(0)), PathError),  # open
+    ((DirectedEdge(0), DirectedEdge(9, True)), GraphError),
+    ((DirectedEdge(9),), GraphError),
+])
+def test_cyclic_path_from_steps_refuses(theta, steps, error):
+    with pytest.raises(error):
+        CyclicPath.from_steps(theta, steps)
+
+
+def test_cyclic_path_reads_length_and_support_as_edge_path(theta):
+    loop = P(theta, "e2 e1^-1 e0 e1^-1")
+    cyc = CyclicPath.from_steps(theta, loop.steps)
+    assert (CyclicPath.length, CyclicPath.support) == (EdgePath.length, EdgePath.support)
+    assert (cyc.length, cyc.support(), len(cyc)) == (loop.length, loop.support(), 4)
+    assert cyc.steps == P(theta, "e0 e1^-1 e2 e1^-1").steps
+    assert cyc.reverse() == CyclicPath.from_steps(theta, loop.reverse().steps)
+
+
+def _based_at_by_definition(loop, vertex):
+    """The least rotation of the loop's steps from `vertex`, every rotation
+    built; None when the loop does not pass through `vertex`."""
+    steps = loop.steps
+    starts = [i for i, s in enumerate(steps) if loop.graph.step_tail(s) == vertex]
+    return min((steps[i:] + steps[:i] for i in starts), default=None)
+
+
+@given(st.integers(0, 10_000), st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)),
+                                        min_size=1, max_size=8), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_based_at_matches_its_definition(seed, letters, power):
+    """Cores of random words, and their powers (periodic loops), based at
+    every vertex: small graphs make the loops pass some vertices several
+    times, and a pendant vertex is on no loop."""
+    g = random_graph(seed, 1 + seed % 4, 3 + seed % 3, 5)
+    rows = [(eid, rec.u, rec.v, rec.length) for eid, rec in g.edges_sorted()]
+    pendant = len(g.vertex_ids)
+    g = MetricGraph(range(pendant + 1), rows + [(len(rows), 0, pendant, 1)])
+    core = word_cyclic_core(spanning_tree(g), tuple(letters))
+    assume(core is not None)
+    loop = CyclicPath.from_steps(g, core.steps * power)
+    for v in sorted(g.vertex_ids):
+        want = _based_at_by_definition(loop, v)
+        if want is None:
+            with pytest.raises(PathError, match=f"does not pass through vertex {v}"):
+                loop.based_at(v)
+        else:
+            based = loop.based_at(v)
+            assert (based.start, based.steps) == (v, want)
 
 
 # -- concatenation decomposition -----------------------------------------

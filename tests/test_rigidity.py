@@ -6,7 +6,7 @@ from helpers import c08_negative
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsgraph import fungroup, rigidity
+from mlsgraph import fungroup, paths, rigidity
 from mlsgraph import (Hom, IsometryCertificate, MetricGraph, ReconstructionFailure,
                       RigidityError, branch_point_map, brute_force_isometry, compute_core,
                       disguise, distinguishing_pair, extend_isometry, identity_hom,
@@ -466,20 +466,27 @@ def test_reconstruct_rejects_same_shape_different_lengths():
 
 def test_spectrum_sweep_queries_each_class_once(monkeypatch):
     """Rank 4, words up to length 4: 3,200 reduced words fall into 390
-    conjugacy classes up to inversion, and each class costs two queries."""
+    conjugacy classes up to inversion, and each class costs two queries.  A
+    query cuts its core from a loop that `EdgePath` has checked, so it builds
+    the canonical `CyclicPath` without `from_steps`' second check."""
     g = MetricGraph([0, 1], [(k, 0, 1, k + 1) for k in range(5)])
     b = spanning_tree(g)
     assert b.rank == 4
-    queried = []
-    real = rigidity.marked_length
+    queried, checked = [], []
+    real, real_from_steps = rigidity.marked_length, paths.CyclicPath.from_steps
 
     def counting(basis, w):
         queried.append(w)
         return real(basis, w)
 
+    def from_steps(graph, steps):
+        checked.append(steps)
+        return real_from_steps(graph, steps)
+
     monkeypatch.setattr(rigidity, "marked_length", counting)
+    monkeypatch.setattr(paths.CyclicPath, "from_steps", staticmethod(from_steps))
     rigidity._spectrum_sweep(b, b, identity_hom(b), 4)
-    assert len(queried) == 780
+    assert (len(queried), len(checked)) == (780, 0)
 
 
 def test_reconstruct_refuses_bases_of_another_graph(theta):

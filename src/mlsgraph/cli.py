@@ -153,11 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph2")
     p.add_argument("hom")
     p.add_argument("--sweep", type=int, default=4,
-                   help="spectrum sweep: each conjugacy class of words up to this length "
-                        "is checked once (0 disables); classes up to length 2 are checked "
-                        "first, the rest only when the pipeline does not accept, with the "
-                        "verdict and witness of a full up-front sweep, since an accepted "
-                        "isometry keeps every loop length")
+                   help="spectrum sweep: each conjugacy class of words up to this length is "
+                        "checked once (0 disables), ceil(3S/2) of them (S core segments) before "
+                        "the pipeline, about its own queries, and the rest only on a REJECT")
     p.set_defaults(func=cmd_reconstruct, check=_check_reconstruct)
 
     p = sub.add_parser("check-iso", help="brute-force isometry check between two cores")

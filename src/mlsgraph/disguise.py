@@ -159,19 +159,22 @@ def truth_comments(inst: DisguisedInstance) -> list[str]:
 def read_truth(text: str) -> tuple[dict[int, int], Word]:
     """Parse the `# truth ...` sidecar block of an emitted graph file: lines
     `branch <x> <y>`, ids read as `read_graph` reads them, and `tau <word>`,
-    `-` for the empty word.  Raises DisguiseError on any other truth line."""
+    `-` for the empty word.  Raises DisguiseError on any other or repeated line."""
     branch_map = {}
-    tau: Word = ()
+    tau: Word | None = None
     for fields in read_graph_comments(text, "truth"):
         kind, args = fields[0] if fields else "", fields[1:]
+        line = " ".join(["# truth", *fields])
         try:
             if kind == "branch" and len(args) == 2:
-                branch_map[parse_index(args[0])] = parse_index(args[1])
-                continue
-            if kind == "tau" and args:
-                tau = () if args == ["-"] else parse_word(" ".join(args))
-                continue
+                x = parse_index(args[0])
+                repeated, branch_map[x] = x in branch_map, parse_index(args[1])
+            elif kind == "tau" and args:
+                repeated, tau = tau is not None, () if args == ["-"] else parse_word(" ".join(args))
+            else:
+                raise ValueError
         except ValueError:
-            pass
-        raise DisguiseError(f"malformed truth line: {' '.join(['# truth', *fields])!r}")
-    return branch_map, tau
+            raise DisguiseError(f"malformed truth line: {line!r}") from None
+        if repeated:
+            raise DisguiseError(f"repeated truth line: {line!r}")
+    return branch_map, tau or ()

@@ -562,11 +562,10 @@ def verify_induces_hom(cert: IsometryCertificate, hom: Hom,
 
 # -- full pipeline ---------------------------------------------------------
 
-# Word length up to which `reconstruct` sweeps before the pipeline runs.
-# Rejected inputs usually break the spectrum on a class this short, so they
-# still fail before the costlier pipeline; longer classes are checked only
-# when the pipeline does not accept.
-SWEEP_PREFIX_LEN = 2
+def _prefix_classes(rank: int, branch_count: int) -> int:
+    """Classes swept before the pipeline: ceil(3S/2) at two queries each, about the
+    pipeline's three per segment, for S = rank + branch_count - 1 core segments."""
+    return (3 * (rank + branch_count - 1) + 1) // 2
 
 
 def _first_of_class(w: Word) -> bool:
@@ -581,23 +580,24 @@ def _first_of_class(w: Word) -> bool:
     return least_rotation_start(key) == 0 and key <= least_rotation(inv)
 
 
-def _spectrum_sweep(basis1: Basis, basis2: Basis, hom: Hom, max_len: int, after: int = 0) -> None:
+def _spectrum_sweep(basis1: Basis, basis2: Basis, hom: Hom, max_len: int,
+                    start: int = 0, stop: int | None = None) -> None:
     """Check l2(hom(w)) == l1(w) on one word per conjugacy class up to
-    inversion: the class's first word `w` in enumeration order, if its
-    length is over `after` and at most `max_len`.
+    inversion, its first word `w` in enumeration order: of the classes of
+    words up to `max_len`, those with index in [start, stop) in that order.
 
     Skipping is exact.  The marked length spectrum is a class function,
     l(u w u^-1) = l(w), and l(w^-1) = l(w); a homomorphism sends conjugates
     to conjugates and inverses to inverses.  So a skipped word passes iff
     the first word of its class passed, the first failing word in
     enumeration order is always checked, and the `SpectrumMismatchError`
-    witness is that word, as in an exhaustive sweep.  A sweep to `after`
-    followed by one to `max_len` past `after` checks the same words, in the
-    same order, as one sweep to `max_len`; neither keeps any state.
+    witness is that word, as in an exhaustive sweep.  A sweep to `stop=q`
+    followed by one from `start=q` checks the same words, in the same order,
+    as one whole sweep; neither keeps any state.
     """
-    for w in enumerate_reduced_words(basis1.rank, max_len):
-        if len(w) > after and _first_of_class(w):
-            _check_spectrum(w, marked_length(basis1, w), marked_length(basis2, apply_hom(hom, w)))
+    classes = filter(_first_of_class, enumerate_reduced_words(basis1.rank, max_len))
+    for w in islice(classes, start, stop):
+        _check_spectrum(w, marked_length(basis1, w), marked_length(basis2, apply_hom(hom, w)))
 
 
 def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,
@@ -606,12 +606,12 @@ def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,
 
     Returns an accepted certificate or the first structured failure.  The
     spectrum sweep checks each conjugacy class of words of length
-    <= `sweep_len` once, up to inversion (0 disables it).  Classes of words
-    up to length `SWEEP_PREFIX_LEN` are checked before the pipeline runs;
-    the rest only when the pipeline does not accept.  Verdict and witness
-    are those of a full sweep run up front: an accepted certificate is an
-    isometry of the cores inducing `hom` up to conjugation, and an isometry
-    keeps the length of every loop, so no class can fail after an ACCEPT.
+    <= `sweep_len` once, up to inversion (0 disables it): the first
+    `_prefix_classes` before the pipeline, the rest only when it does not
+    accept.  Verdict and witness are those of a full sweep run up front: an
+    accepted certificate is an isometry of the cores inducing `hom` up to
+    conjugation, and an isometry keeps every loop length, so no class can
+    fail after an ACCEPT, and any prefix gives the same.
 
     The sweep is a fast-fail convenience: no finite sweep determines a
     marked metric graph, so acceptance rests on the per-query checks and
@@ -627,14 +627,12 @@ def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,
         if not hom.is_certified_isomorphism():
             return ReconstructionFailure("hom-not-certified",
                                          "compositions are not the identity")
-        core1 = compute_core(g1)
-        core2 = compute_core(g2)
+        core1, core2 = compute_core(g1), compute_core(g2)
         if core1.is_empty or core2.is_empty:
             which = " ".join(name for name, c in (("first", core1), ("second", core2))
                              if c.is_empty)
             return ReconstructionFailure("empty-core", f"{which} graph is contractible")
-        c1 = is_circle(core1)
-        c2 = is_circle(core2)
+        c1, c2 = is_circle(core1), is_circle(core2)
         if (c1 is None) != (c2 is None):
             return ReconstructionFailure("circle-mismatch",
                                          "exactly one core is a circle")
@@ -652,7 +650,8 @@ def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,
                 return ReconstructionFailure("induced-hom",
                                              f"generator g{check.failing_generator}")
             return replace(cert, tau=check.tau, induced_images=check.images)
-        _spectrum_sweep(hom.source, hom.target, hom, min(sweep_len, SWEEP_PREFIX_LEN))
+        prefix = _prefix_classes(hom.source.rank, len(core1.branch_points))
+        _spectrum_sweep(hom.source, hom.target, hom, sweep_len, stop=prefix)
         try:
             branch = branch_point_map(core1, hom.source, core2, hom.target, hom)
             cert = extend_isometry(core1, hom.source, core2, hom.target, branch)
@@ -662,7 +661,7 @@ def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,
         except Exception:
             # Not an ACCEPT: a mismatch in the rest of the sweep comes first,
             # as it would have had the whole sweep run before the pipeline.
-            _spectrum_sweep(hom.source, hom.target, hom, sweep_len, after=SWEEP_PREFIX_LEN)
+            _spectrum_sweep(hom.source, hom.target, hom, sweep_len, start=prefix)
             raise
         return replace(cert, tau=check.tau, induced_images=check.images)
     except RigidityError as exc:

@@ -62,6 +62,16 @@ def nielsen_compose(hom, i, j, sign, left=False):
     return Hom(hom.source, hom.target, images, inverse)
 
 
+def nielsen_homs(instances):
+    """(graph, disguise, hom) for each (graph, disguise) pair: the disguise's
+    hom composed with a Nielsen move that cycles through generators, signs
+    and sides."""
+    for n, (g, inst) in enumerate(instances):
+        rank = inst.hom.source.rank
+        yield g, inst.graph, nielsen_compose(inst.hom, 1 + n % rank, 1 + (n // 2) % rank,
+                                             1 if n % 3 else -1, n % 2 == 0)
+
+
 def disguise_instances(count, core_cap=10, seed0=0):
     """Deterministic stream of (base graph, disguise) pairs whose disguised
     cores have at most `core_cap` edges."""

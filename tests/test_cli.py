@@ -384,15 +384,15 @@ def mutated_pair(draw, count=3):
     return files
 
 
-def _write_and_run(tmp, command, files):
-    """`main([command, *file names])` on the given file bytes: the exit code
-    and stdout, after checking the exit-code contract."""
+def _write_and_run(tmp, command, files, *options):
+    """`main([command, *file names, *options])` on the given file bytes: the
+    exit code and stdout, after checking the exit-code contract."""
     paths = [str(Path(tmp) / f"g{k}.txt") for k in range(len(files))]
     for path, data in zip(paths, files):
         Path(path).write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, *paths])
+        code = main([command, *paths, *options])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
@@ -429,6 +429,49 @@ def test_check_iso_exit_code_contract_fuzz(files):
     if code != 2:
         verdict = out.splitlines()[-1]
         assert verdict.startswith("verdict ACCEPT" if code == 0 else "verdict REJECT")
+
+
+@given(mutated_pair(count=1))
+@settings(max_examples=100, deadline=None)
+def test_spectrum_exit_code_contract_fuzz(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = _write_and_run(tmp, "spectrum", files)
+    assert code != 1
+    if code == 0:
+        for line in out.splitlines():
+            _, length = line.split("\t")
+            assert parse_length(length) > 0
+
+
+# Path tokens on the pair's graph: steps of its edges, either way, an edge
+# it lacks, and tokens the path syntax refuses.
+PATH_TOKENS = st.sampled_from([
+    *(f"e{k}{inv}" for k in range(6) for inv in ("", "^-1")), "e99", "e99^-1", "e", "e-1",
+    "e+1", "e1^-2", "^-1", "g1", "x", "-"])
+
+
+@st.composite
+def path_literals(draw):
+    """A walk of one to eight steps on the pair's graph, which may backtrack
+    or close, or a list of path tokens."""
+    if draw(st.booleans()):
+        return " ".join(draw(st.lists(PATH_TOKENS, max_size=8)))
+    g = read_graph(_pair_files()[0].decode())
+    at, steps = draw(st.sampled_from(sorted(g.vertex_ids))), []
+    for _ in range(draw(st.integers(1, 8))):
+        steps.append(draw(st.sampled_from(g.out_steps(at))))
+        at = g.step_head(steps[-1])
+    return " ".join(map(str, steps))
+
+
+@given(mutated_pair(count=1), path_literals())
+@settings(max_examples=100, deadline=None)
+def test_reduce_exit_code_contract_fuzz(files, literal):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = _write_and_run(tmp, "reduce", files, f"--path={literal}")
+    assert code != 1
+    if code == 0:
+        assert len(out.splitlines()) in (1, 3)
 
 
 @given(mutated_pair(count=1))

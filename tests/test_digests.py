@@ -11,12 +11,22 @@
 - the same for 60 of those disguises with their hom composed with one
   elementary Nielsen move, at sweep 0, 2, 3 and 4;
 - `mlsgraph core` stdout on the benchmark's core-oracle corpus at seed 1:
-  c04's family up to 5 edges, then c04's 200 random graphs from seed 1000.
+  c04's family up to 5 edges, then c04's 200 random graphs from seed 1000;
+- the exit code and stdout of `mlsgraph reconstruct` on the benchmark's
+  reject-cli corpus, 48 rank-12 negatives, at seeds 1 and 2;
+- the same as for c07 for the seed-3 rank ladder, `disguise(g, 103)` of
+  `g = random_graph(3, v, r, 10)` at (r, v) = (16, 14), (32, 24) and
+  (64, 40), at sweep 0 and 4.
 
-A change that alters one of these outputs on purpose rewrites the file in
-the same change and names the changed digest in `CHANGES.md`:
+The file is append-only.  This command adds the digests of groups it does
+not hold yet, and writes nothing and exits 1, naming them, if a digest it
+holds would change:
 
     PYTHONPATH=src python tests/test_digests.py --write
+
+A change that alters one of these outputs on purpose deletes the changed
+entries from `digests.json` by hand, runs the command, and names the changed
+digests in `CHANGES.md`.
 """
 
 import contextlib
@@ -27,8 +37,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from helpers import c08_negative, disguise_instances, nielsen_compose
+from helpers import c08_negative, disguise_instances, nielsen_homs
 from test_acceptance import _connected_multigraphs, _random_corpus
+from test_sweep_order import _rank12_negatives
 
 from mlsgraph import cli, disguise, random_graph, reconstruct, spanning_tree, write_graph
 from mlsgraph.disguise import truth_comments
@@ -53,15 +64,6 @@ def _report(result):
     return result.report() + "".join(f"image {format_word(w)}\n" for w in images)
 
 
-def _nielsen_homs(instances):
-    """(graph, disguise, hom) for each disguise: its hom composed with a
-    Nielsen move that cycles through generators, signs and sides."""
-    for n, (g, inst) in enumerate(instances):
-        rank = inst.hom.source.rank
-        yield g, inst.graph, nielsen_compose(inst.hom, 1 + n % rank, 1 + (n // 2) % rank,
-                                             1 if n % 3 else -1, n % 2 == 0)
-
-
 def _core_outputs():
     """`mlsgraph core` stdout, one graph file at a time."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -74,12 +76,26 @@ def _core_outputs():
             yield out.getvalue()
 
 
+def _reject_cli_outputs(seed):
+    """Exit code and stdout of `mlsgraph reconstruct` on each negative."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in _rank12_negatives(seed, 48, Path(tmp)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            yield f"exit {code}\n{out.getvalue()}"
+
+
+LADDER = ((16, 14), (32, 24), (64, 40))
+
+
 def compute_digests() -> dict[str, str]:
     hashes = {name: hashlib.sha256() for name in (
         "disguise-graph", "disguise-hom", "spectrum",
         "c07-sweep0", "c07-sweep4", "c08-sweep0", "c08-sweep4",
         "c07-sweep2", "c07-sweep3", "c08-sweep2", "c08-sweep3",
-        "nielsen-sweep0", "nielsen-sweep2", "nielsen-sweep3", "nielsen-sweep4", "core-cli")}
+        "nielsen-sweep0", "nielsen-sweep2", "nielsen-sweep3", "nielsen-sweep4", "core-cli",
+        "reject-cli-seed1", "reject-cli-seed2", "ladder-sweep0", "ladder-sweep4")}
     for g, seed in _graphs():
         inst = disguise(g, seed)
         hashes["disguise-graph"].update(
@@ -94,11 +110,20 @@ def compute_digests() -> dict[str, str]:
             hashes[f"c07-sweep{sweep}"].update(
                 _report(reconstruct(g, inst.graph, inst.hom, sweep)).encode())
             hashes[f"c08-sweep{sweep}"].update(_report(reconstruct(g, g2p, hom, sweep)).encode())
-    for g1, g2, hom in _nielsen_homs(instances[:60]):
+    for g1, g2, hom in nielsen_homs(instances[:60]):
         for sweep in (0, 2, 3, 4):
             hashes[f"nielsen-sweep{sweep}"].update(_report(reconstruct(g1, g2, hom, sweep)).encode())
     for text in _core_outputs():
         hashes["core-cli"].update(text.encode())
+    for seed in (1, 2):
+        for text in _reject_cli_outputs(seed):
+            hashes[f"reject-cli-seed{seed}"].update(text.encode())
+    for rank, vertices in LADDER:
+        g = random_graph(3, vertices, rank, 10)
+        inst = disguise(g, 103)
+        for sweep in (0, 4):
+            hashes[f"ladder-sweep{sweep}"].update(
+                _report(reconstruct(g, inst.graph, inst.hom, sweep)).encode())
     return {name: h.hexdigest() for name, h in hashes.items()}
 
 
@@ -109,4 +134,10 @@ def test_outputs_match_the_golden_digests():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_digests.py --write")
-    DIGEST_FILE.write_text(json.dumps(compute_digests(), indent=2) + "\n", encoding="utf-8")
+    held = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))
+    computed = compute_digests()
+    changed = [name for name, digest in held.items() if computed.get(name, digest) != digest]
+    if changed:
+        sys.exit(f"digests would change: {', '.join(changed)}; delete them from "
+                 f"{DIGEST_FILE.name} by hand to rewrite them")
+    DIGEST_FILE.write_text(json.dumps({**held, **computed}, indent=2) + "\n", encoding="utf-8")

@@ -66,6 +66,7 @@ def test_truth_sidecar_roundtrip(dumbbell):
         assert write_graph(read_graph(text)) == write_graph(inst.graph)
         assert read_truth(text) == (inst.branch_map, inst.tau)
     assert read_truth("# truth tau -\n") == ({}, ())
+    assert read_truth("# truth branch 1 2\n# truth branch 2 2\n") == ({1: 2, 2: 2}, ())
 
 
 @pytest.mark.parametrize("line", [
@@ -76,6 +77,22 @@ def test_truth_sidecar_roundtrip(dumbbell):
 def test_read_truth_refuses_malformed_lines(line):
     with pytest.raises(DisguiseError, match="malformed truth line: " + re.escape(repr(line))):
         read_truth(f"graph g\nvertex 0\n# truth branch 0 0\n{line}\n")
+
+
+@pytest.mark.parametrize("lines,repeat", [
+    (["# truth branch 1 2", "# truth branch 1 3"], "# truth branch 1 3"),
+    (["# truth branch 1 2", "# truth branch 1 2"], "# truth branch 1 2"),
+    (["# truth branch 5 2", "# truth tau -", "# truth branch 5 2"], "# truth branch 5 2"),
+    (["# truth tau g1", "# truth tau -"], "# truth tau -"),
+    (["# truth tau -", "# truth branch 1 2", "# truth tau -"], "# truth tau -"),
+    (["# truth branch 1 2", "# truth branch 1 3", "# truth tau g1", "# truth tau -"],
+     "# truth branch 1 3"),
+])
+def test_read_truth_refuses_repeated_lines(lines, repeat):
+    """Two images of one branch point, or two conjugating words, are refused;
+    the error names the first repeated line."""
+    with pytest.raises(DisguiseError, match="repeated truth line: " + re.escape(repr(repeat))):
+        read_truth("graph g\nvertex 0\n" + "".join(f"{line}\n" for line in lines))
 
 
 def test_disguise_of_circle():

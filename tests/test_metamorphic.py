@@ -5,17 +5,24 @@ For a disguise (g, g', phi) with branch map f:
   segment sent to itself unreversed, and an empty `tau`;
 - phi's inverse accepts (g', g), with the branch map f^-1;
 - scaling every length of both graphs by 7/3 leaves the accepted
-  certificate's report unchanged.
+  certificate's report unchanged;
+- on a perturbed disguise (c08's construction), scaling every length by 7/3
+  keeps the REJECT code and the mismatched word, and scales both of its
+  printed lengths (or circumferences) by 7/3;
+- composed with the hom of a disguise (g', g'', phi') with branch map f',
+  phi' phi accepts (g, g''), with the branch map f' f.
 """
 
+import re
 from fractions import Fraction
 
+from helpers import c08_negative
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlsgraph import MetricGraph, compute_core, disguise, random_graph, spanning_tree
-from mlsgraph.fungroup import Hom, identity_hom
-from mlsgraph.rigidity import IsometryCertificate, reconstruct
+from mlsgraph.fungroup import Hom, apply_hom, identity_hom
+from mlsgraph.rigidity import IsometryCertificate, ReconstructionFailure, reconstruct
 
 SCALE = Fraction(7, 3)
 
@@ -63,3 +70,41 @@ def test_scaling_every_length_keeps_the_report(pair):
     g1, g2 = _scaled(g), _scaled(inst.graph)
     hom = Hom(spanning_tree(g1), spanning_tree(g2), inst.hom.images, inst.hom.inverse_images)
     assert reconstruct(g1, g2, hom).report() == cert.report()
+
+
+def _mismatch(detail: str):
+    """(word, l1, l2) of a `spectrum-mismatch` detail `<word> (<l1> vs <l2>)`."""
+    word, l1, l2 = re.fullmatch(r"(.*) \((\S+) vs (\S+)\)", detail).groups()
+    return word, Fraction(l1), Fraction(l2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(disguises(), st.integers(0, 50), st.integers(0, 4))
+def test_scaling_every_length_scales_a_rejects_lengths(pair, k, sweep):
+    g, inst = pair
+    g2p, hom = c08_negative(g, inst, k)
+    res = reconstruct(g, g2p, hom, sweep)
+    assert isinstance(res, ReconstructionFailure), res
+    g1s, g2s = _scaled(g), _scaled(g2p)
+    scaled = reconstruct(g1s, g2s, Hom(spanning_tree(g1s), spanning_tree(g2s), hom.images,
+                                       hom.inverse_images), sweep)
+    assert isinstance(scaled, ReconstructionFailure), scaled
+    assert scaled.code == res.code
+    if res.code == "spectrum-mismatch":
+        word, l1, l2 = _mismatch(res.detail)
+        assert _mismatch(scaled.detail) == (word, l1 * SCALE, l2 * SCALE)
+    elif res.code == "circle-circumference":
+        c1, c2 = (Fraction(c) * SCALE for c in res.detail.split(" vs "))
+        assert scaled.detail == f"{c1} vs {c2}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(disguises(), st.integers(0, 2**31 - 1))
+def test_composed_disguises_compose_their_branch_maps(pair, seed):
+    g, first = pair
+    second = disguise(first.graph, seed)
+    images = tuple(apply_hom(second.hom, w) for w in first.hom.images)
+    inverse = tuple(apply_hom(first.hom.inverse(), w) for w in second.hom.inverse_images)
+    cert = reconstruct(g, second.graph, Hom(first.hom.source, second.hom.target, images, inverse))
+    assert isinstance(cert, IsometryCertificate), cert
+    assert cert.vertex_map == {x: second.branch_map[y] for x, y in first.branch_map.items()}

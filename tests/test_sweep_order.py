@@ -1,26 +1,29 @@
 """The deferred sweep tail against the up-front sweep.
 
-`reconstruct` checks the classes of words up to length `SWEEP_PREFIX_LEN`
-before the pipeline and the longer ones only when the pipeline does not
-accept.  These tests hold it to the frozen up-front order in
-`sweep_reference`: the same report byte for byte, the same CLI output and
-exit code, and the same verdict kind at every sweep length.
+`reconstruct` checks the first `_prefix_classes` classes before the
+pipeline and the rest only when the pipeline does not accept.  These tests
+hold it to the frozen up-front order in `sweep_reference`: the same report
+byte for byte, whatever the prefix, the same CLI output and exit code, the
+same spectrum queries on a REJECT, and the same verdict kind at every sweep
+length.
 """
 
 import contextlib
 import io
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from helpers import c08_negative, disguise_instances, nielsen_compose
+import sweep_reference
+from helpers import c08_negative, disguise_instances, nielsen_compose, nielsen_homs
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sweep_reference import reference_reconstruct
+from sweep_reference import reference_reconstruct, reference_sweep_words
 
 from mlsgraph import (Hom, IsometryCertificate, MetricGraph, ReconstructionFailure, cli,
-                      disguise, random_graph, reconstruct, rigidity, spanning_tree,
-                      write_graph, write_hom)
+                      compute_core, disguise, random_graph, reconstruct, rigidity,
+                      spanning_tree, write_graph, write_hom)
 from mlsgraph.paths import PathError
 
 SWEEPS = range(5)
@@ -109,7 +112,6 @@ def test_tail_witness_beats_pipeline_failure(name):
     *spec, witness = LENGTH3_NEGATIVES[name]
     g1, g2, hom = _build(*spec)
     _assert_same_reports(g1, g2, hom)
-    assert rigidity.SWEEP_PREFIX_LEN == 2
     res = reconstruct(g1, g2, hom, 4)
     assert (res.code, res.detail) == ("spectrum-mismatch", witness)
     # Without the tail the pipeline's own failure, a different one, comes back.
@@ -162,9 +164,9 @@ def test_verdict_kind_does_not_depend_on_sweep_len(case):
 
 
 def test_accept_sweeps_only_the_prefix(monkeypatch):
-    """Rank 4: the classes of words up to length 2 are 20 up to inversion,
-    at two queries each; the 780 queries of a full length-4 sweep are not
-    made once the pipeline accepts."""
+    """Rank 4 with two branch points: 5 core segments, so the prefix is
+    ceil(3 * 5 / 2) = 8 classes at two queries each; the 780 queries of a
+    full length-4 sweep are not made once the pipeline accepts."""
     g = MetricGraph([0, 1], [(k, 0, 1, k + 1) for k in range(5)])
     inst = disguise(g, 5)
     assert inst.hom.source.rank == 4
@@ -181,6 +183,80 @@ def test_accept_sweeps_only_the_prefix(monkeypatch):
         calls.clear()
         assert isinstance(reconstruct(g, inst.graph, inst.hom, k), IsometryCertificate)
         counts[k] = len(calls)
-    assert counts[2] - counts[0] == 40
+    assert counts[2] - counts[0] == 16
     assert counts[4] == counts[2]
 
+
+# -- the prefix ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def prefix_cases():
+    """(g1, g2, hom, reference reports at every sweep length) for c07's 200
+    disguises, c08's 200 negatives, 60 Nielsen-composed disguise homs and
+    both length-3 negatives."""
+    instances = disguise_instances(200)
+    cases = [(g, inst.graph, inst.hom) for g, inst in instances]
+    cases += [(g, *c08_negative(g, inst, k)) for k, (g, inst) in enumerate(instances)]
+    cases += list(nielsen_homs(instances[:60]))
+    cases += [_build(*spec) for *spec, _ in LENGTH3_NEGATIVES.values()]
+    return [(g1, g2, hom, [reference_reconstruct(g1, g2, hom, k).report() for k in SWEEPS])
+            for g1, g2, hom in cases]
+
+
+@pytest.mark.parametrize("prefix", [0, 1, 7, 10**9])
+def test_verdict_does_not_depend_on_the_prefix(prefix, prefix_cases, monkeypatch):
+    monkeypatch.setattr(rigidity, "_prefix_classes", lambda rank, branch_count: prefix)
+    for g1, g2, hom, expected in prefix_cases:
+        assert [reconstruct(g1, g2, hom, k).report() for k in SWEEPS] == expected
+
+
+def _recorded_queries(monkeypatch, *modules):
+    """The words of every `marked_length` call made through `modules`, in
+    call order: a sweep class's source word, then its image."""
+    queried = []
+    real = rigidity.marked_length
+
+    def recording(basis, w):
+        queried.append(w)
+        return real(basis, w)
+
+    for module in modules:
+        monkeypatch.setattr(module, "marked_length", recording)
+    return queried
+
+
+def test_ladder_accept_sweeps_three_halves_of_its_segments(monkeypatch):
+    """The rank-64 pair of the seed-3 ladder: 37 branch points, so 100 core
+    segments by Euler characteristic, and a prefix of 150 classes."""
+    g = random_graph(3, 40, 64, 10)
+    inst = disguise(g, 103)
+    core = compute_core(g)
+    assert len(core.segments) == 64 + len(core.branch_points) - 1 == 100
+    queried = _recorded_queries(monkeypatch, rigidity)
+    assert isinstance(reconstruct(g, inst.graph, inst.hom), IsometryCertificate)
+    assert len(queried) == 2 * 150
+    assert queried[::2] == list(islice(reference_sweep_words(64, 4), 150))
+
+
+def test_rejects_make_the_reference_queries(monkeypatch, tmp_path):
+    """On the rank-12 CLI negatives, whose witnesses lie in the prefix, and on
+    the length-3 negatives, whose witnesses lie past it, the same spectrum
+    queries in the same order as the up-front sweep."""
+    queried = _recorded_queries(monkeypatch, rigidity, sweep_reference)
+
+    def queries(run, *args):
+        queried.clear()
+        run(*args)
+        return queried[:]
+
+    for argv in _rank12_negatives(1, 48, tmp_path):
+        actual = queries(_cli, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "reconstruct", reference_reconstruct)
+            assert queries(_cli, argv) == actual
+    for *spec, _ in LENGTH3_NEGATIVES.values():
+        g1, g2, hom = _build(*spec)
+        actual = queries(reconstruct, g1, g2, hom, 4)
+        assert queries(reference_reconstruct, g1, g2, hom, 4) == actual
+        prefix = rigidity._prefix_classes(hom.source.rank, len(compute_core(g1).branch_points))
+        assert len(actual) > 2 * prefix

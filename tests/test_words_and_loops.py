@@ -58,7 +58,7 @@ def test_first_of_class_picks_the_checked_set_words(rank, max_len):
 
 
 def _swept(monkeypatch, calls):
-    """Source words queried by `_spectrum_sweep` over (max_len, after) calls,
+    """Source words queried by `_spectrum_sweep` over (max_len, start, stop) calls,
     on a rank-3 graph and an isometric copy under the identity hom."""
     g1, g2 = _bouquet(3), _bouquet(3)
     b1, b2 = spanning_tree(g1), spanning_tree(g2)
@@ -72,16 +72,18 @@ def _swept(monkeypatch, calls):
         return real(basis, w)
 
     monkeypatch.setattr(rigidity, "marked_length", recording)
-    for max_len, after in calls:
-        rigidity._spectrum_sweep(b1, b2, Hom(b1, b2, gens, gens), max_len, after=after)
+    for max_len, start, stop in calls:
+        rigidity._spectrum_sweep(b1, b2, Hom(b1, b2, gens, gens), max_len, start, stop)
     return queried
 
 
 def test_prefix_then_tail_queries_what_one_sweep_queries(monkeypatch):
-    whole = _swept(monkeypatch, [(4, 0)])
+    whole = _swept(monkeypatch, [(4, 0, None)])
     assert whole == list(reference_sweep_words(3, 4))
-    assert _swept(monkeypatch, [(2, 0), (4, 2)]) == whole
-    assert _swept(monkeypatch, [(4, 4)]) == []
+    for q in (0, 1, 7, len(whole) - 1, len(whole), 10**9):
+        assert _swept(monkeypatch, [(4, 0, q)]) == whole[:q]
+        assert _swept(monkeypatch, [(4, 0, q), (4, q, None)]) == whole
+    assert _swept(monkeypatch, [(4, len(whole), None)]) == []
 
 
 def test_sweep_holds_no_per_class_state(monkeypatch):

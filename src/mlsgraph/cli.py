@@ -187,6 +187,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse reads `--opt=--` as [], skipping its type
+        parser.error("'--' is not an option value")
     check = getattr(args, "check", None)
     if check is not None:
         check(parser, args)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 
-from .fungroup import (Basis, Hom, Word, apply_hom, cyclic_reduce_word, format_word,
-                       invert_word, loop_class_word, loop_to_word, parse_word, spanning_tree)
+from .fungroup import (Basis, Hom, Word, format_word, loop_class_word, loop_to_word, parse_word,
+                       spanning_tree)
 from .graphs import (RANDOM_TREE_LENGTH_BOUND, DirectedEdge, MetricGraph, _random_tree_rows,
                      parse_index, read_graph_comments, require_valid)
 from .hull import compute_core
@@ -116,6 +116,9 @@ def disguise(g: MetricGraph, seed: int) -> DisguisedInstance:
         raise DisguiseError("internal error: recorded hom failed certification")
 
     branch_map = {x: vertex_image[x] for x in sorted(core1.branch_points)}
+    # Without branch points the core is a circle and the certified hom sends
+    # g1 to g1 or g1^-1 as it is, so nothing conjugates it.
+    tau: Word = ()
     if branch_map:
         x0 = min(branch_map)
         s1 = basis1.tree_path(x0, basis1.basepoint)
@@ -124,9 +127,6 @@ def disguise(g: MetricGraph, seed: int) -> DisguisedInstance:
         # `loop_to_word` reduces the letters freely, so the loop is read unreduced.
         tau = loop_to_word(basis2, s2.then(_map_path(g2, vertex_image, chains, s1))
                            .then(connector.reverse()))
-    else:
-        _, conj = cyclic_reduce_word(apply_hom(hom, (1,)))
-        tau = invert_word(conj)
     return DisguisedInstance(g, g2, hom, vertex_image, chains, branch_map, tau)
 
 

@@ -25,9 +25,10 @@ the witness, so a rejection is as auditable as an acceptance.
 from __future__ import annotations
 
 from collections import deque
+from copy import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice, tee
 from typing import Iterator
 
 from .fungroup import (Basis, Hom, Word, apply_hom, concat_words, cyclic_reduce_word,
@@ -35,8 +36,9 @@ from .fungroup import (Basis, Hom, Word, apply_hom, concat_words, cyclic_reduce_
                        marked_length, word_to_loop)
 from .graphs import DirectedEdge, GraphError, MetricGraph, require_valid
 from .hull import CoreDecomposition, compute_core, is_circle
-from .paths import (EdgePath, PathError, cyclic_reduce_based, format_path, is_reduced,
-                    least_rotation, least_rotation_start, map_chains, shortest_path)
+from .paths import (EdgePath, PathError, _reversed_steps, cyclic_reduce_based, format_path,
+                    is_reduced, least_rotation, least_rotation_start, map_chains, reduce_steps,
+                    shortest_path)
 
 
 class RigidityError(ValueError):
@@ -146,7 +148,8 @@ def _pair_candidates(core: CoreDecomposition, p: EdgePath):
     A loop is `p` then a frame's route from a first step d that does not
     backtrack along `p` to a last step a that does not backtrack into it.
     A loop segment pairs its square with each frame; an arc pairs two frames
-    with distinct d and distinct a."""
+    with distinct d and distinct a, each loop reading copies of one tee that
+    is never advanced, so `_frames` runs only as far as some copy has got."""
     cg = core.core
     x, y = p.start, p.end
     first_p, last_p = p.steps[0], p.steps[-1]
@@ -162,22 +165,10 @@ def _pair_candidates(core: CoreDecomposition, p: EdgePath):
 
     outs_y = [d for d in cg.out_steps(y) if d != last_p.reverse()]
     ins_x = [a for a in into_x if a != first_p.reverse()]
-    source, frames = _frames(cg, outs_y, ins_x), []
-
-    def pulled():
-        """The frames in order, pulling the next one from `source` into
-        `frames` only when an iteration first gets past the end."""
-        for k in count():
-            if k == len(frames):
-                frame = next(source, None)
-                if frame is None:
-                    return
-                frames.append(frame)
-            yield frames[k]
-
-    for d1, a1, r1 in pulled():
+    frames, = tee(_frames(cg, outs_y, ins_x), 1)
+    for d1, a1, r1 in copy(frames):
         loop1 = p.steps + r1
-        for d2, a2, r2 in pulled():
+        for d2, a2, r2 in copy(frames):
             if d1 != d2 and a1 != a2:
                 yield loop1, p.steps + r2, ("arc", (d1, a1), (d2, a2))
 
@@ -251,11 +242,14 @@ def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
     """Image of a distinguished path under the spectrum-preserving isomorphism.
 
     Realizes the two image loops in the target and aligns their basepoints
-    via the conjugator containment property.  The image path is the common
-    subpath of the aligned loops around the shared basepoint: the maximal
-    common terminal run into it followed by the maximal common initial run
-    out of it (either may be empty, since the basepoint may land anywhere on
-    the image path).  Its length must equal the recovered length exactly.
+    via the conjugator containment property: conjugated by the remainder of
+    the longer conjugator, the other loop reduces to its rotation starting
+    where the anchor does iff the remainder runs along it (either way, any
+    number of times round), and to a longer loop otherwise.  The image path
+    is the common subpath of the aligned loops around the shared basepoint:
+    the maximal common terminal run into it followed by the maximal common
+    initial run out of it (either may be empty, since the basepoint may land
+    anywhere on the image path).  Its length must equal the recovered length.
 
     The three spectrum values are read off the image loops: the cyclically
     reduced cores of loop1, loop2 and loop1^-1 loop2 (the cross word's loop).
@@ -281,20 +275,12 @@ def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
     anchor = based[long_i]
     other = based[short_i]
     q = conj[long_i].end
-    L = len(other.steps)
-    if L == 0 or len(anchor.steps) == 0:
+    if not other.steps or not anchor.steps:
         raise RigidityError("claim1-containment", "image loop collapsed to a point")
-    if all(remainder[i] == other.steps[i % L] for i in range(len(remainder))):
-        offset = len(remainder) % L
-    elif all(remainder[i] == other.steps[(L - 1 - i) % L].reverse()
-             for i in range(len(remainder))):
-        offset = (L - (len(remainder) % L)) % L
-    else:
+    rot = reduce_steps(_reversed_steps(remainder) + other.steps + remainder)
+    if len(rot) != len(other.steps):
         raise RigidityError("claim1-containment",
                             "conjugator remainder does not run along the other image loop")
-    rot = other.steps[offset:] + other.steps[:offset]
-    if g2.step_tail(rot[0]) != q:
-        raise RigidityError("claim1-containment", "image loops do not share a basepoint")
 
     a, b = anchor.steps, rot
     prefix = []
@@ -518,14 +504,11 @@ def verify_induces_hom(cert: IsometryCertificate, hom: Hom,
     reduced words for every generator.
     """
     if cert.kind == "circle":
-        reversed_flag = cert.segment_map[0][2]
-        expect: Word = ((-1,) if reversed_flag else (1,))
+        expect: Word = (-1,) if cert.segment_map[0][2] else (1,)
         image = apply_hom(hom, (1,))
-        core_w, conj = cyclic_reduce_word(image)
-        candidates = [invert_word(conj)] if tau is None else [tau]
-        for t in candidates:
-            if concat_words(t, image, invert_word(t)) == expect:
-                return InducedHomCheck(True, t, None, (expect,))
+        t = invert_word(cyclic_reduce_word(image)[1]) if tau is None else tau
+        if concat_words(t, image, invert_word(t)) == expect:
+            return InducedHomCheck(True, t, None, (expect,))
         return InducedHomCheck(False, None, 1, (expect,))
 
     chains = [seg.path.steps for seg in cert.core1.segments]
@@ -542,22 +525,15 @@ def verify_induces_hom(cert: IsometryCertificate, hom: Hom,
             return InducedHomCheck(False, None, k, tuple(induced_list))
     induced = tuple(induced_list)
     targets = [apply_hom(hom, (k,)) for k in range(1, hom.source.rank + 1)]
-    if tau is not None:
-        candidates = [tau]
-    else:
-        candidates = _tau_candidates(induced, hom)
+    candidates = [tau] if tau is not None else _tau_candidates(induced, hom)
     failing = None
     for t in candidates:
-        ok = True
-        for k, (ind, target) in enumerate(zip(induced, targets), start=1):
-            if ind != concat_words(t, target, invert_word(t)):
-                ok = False
-                if failing is None:
-                    failing = k
-                break
-        if ok:
+        k = next((k for k, (ind, target) in enumerate(zip(induced, targets), start=1)
+                  if ind != concat_words(t, target, invert_word(t))), None)
+        if k is None:
             return InducedHomCheck(True, t, None, induced)
-    return InducedHomCheck(False, None, failing if failing is not None else 1, induced)
+        failing = failing or k
+    return InducedHomCheck(False, None, failing or 1, induced)
 
 
 # -- full pipeline ---------------------------------------------------------
@@ -632,24 +608,18 @@ def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,
             which = " ".join(name for name, c in (("first", core1), ("second", core2))
                              if c.is_empty)
             return ReconstructionFailure("empty-core", f"{which} graph is contractible")
-        c1, c2 = is_circle(core1), is_circle(core2)
-        if (c1 is None) != (c2 is None):
-            return ReconstructionFailure("circle-mismatch",
-                                         "exactly one core is a circle")
-        if c1 is not None:
+        # A certified isomorphism keeps the rank, a rank-one core is a circle,
+        # and an automorphism of the rank-one free group sends g1 to g1 or
+        # g1^-1: the circles' isometry induces the hom itself, with empty tau.
+        if hom.source.rank == 1:
+            c1, c2 = is_circle(core1), is_circle(core2)
             if c1 != c2:
                 return ReconstructionFailure("circle-circumference", f"{c1} vs {c2}")
-            image_core, _ = cyclic_reduce_word(apply_hom(hom, (1,)))
-            cert = IsometryCertificate(
-                kind="circle", core1=core1, core2=core2,
-                basis1=hom.source, basis2=hom.target,
-                vertex_map={}, segment_map=((0, 0, image_core == (-1,)),),
-                length_ledger=((c1, c2),), distance_ledger=())
-            check = verify_induces_hom(cert, hom)
-            if not check.ok:
-                return ReconstructionFailure("induced-hom",
-                                             f"generator g{check.failing_generator}")
-            return replace(cert, tau=check.tau, induced_images=check.images)
+            image = apply_hom(hom, (1,))
+            return IsometryCertificate(
+                kind="circle", core1=core1, core2=core2, basis1=hom.source, basis2=hom.target,
+                vertex_map={}, segment_map=((0, 0, image == (-1,)),),
+                length_ledger=((c1, c2),), distance_ledger=(), induced_images=(image,))
         prefix = _prefix_classes(hom.source.rank, len(core1.branch_points))
         _spectrum_sweep(hom.source, hom.target, hom, sweep_len, stop=prefix)
         try:

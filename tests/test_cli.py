@@ -10,9 +10,9 @@ from helpers import BAD_HOM_FILES, NON_DIGIT_INDICES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsgraph import parse_length, read_graph, read_truth, spanning_tree
+from mlsgraph import parse_length, read_graph, read_truth, spanning_tree, write_graph
 from mlsgraph.cli import main
-from mlsgraph.fungroup import read_hom
+from mlsgraph.fungroup import WordError, format_word, parse_word, read_hom
 from mlsgraph.graphs import read_graph_comments
 
 
@@ -493,3 +493,81 @@ def test_disguise_exit_code_contract_fuzz(files):
             g1, g2 = read_graph(files[0].decode()), read_graph(text)
             read_truth(text)
             read_hom(out_hom.read_text(encoding="utf-8"), spanning_tree(g1), spanning_tree(g2))
+
+
+# Values for `gen`'s integer options: small integers, and tokens that `int`
+# refuses or reads as a small value (a sign, `_`, non-ASCII digits).
+GEN_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["", "abc", "1.5", "3e1", "0x3", "-", "--", "+3", "1_0", " 4",
+                     "٣", "٣٠", "２", "²", "4\x00"]))
+
+
+@given(st.integers(-2, 9), st.fixed_dictionaries(
+    {"--vertices": GEN_VALUES},
+    optional={"--extra": GEN_VALUES, "--length-bound": GEN_VALUES}),
+    st.sampled_from(["file", "directory", "missing parent", "stdout"]), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_gen_exit_code_contract_fuzz(seed, options, out, joined):
+    """`gen` on mutated arguments: exit 0, 1 or 2 (argparse's own refusals
+    exit 2 through `SystemExit`), no traceback, one `error:` line on exit 2,
+    and on exit 0 a graph file that reads back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        target = {"file": Path(tmp) / "g.txt", "directory": Path(tmp),
+                  "missing parent": Path(tmp) / "missing" / "g.txt", "stdout": None}[out]
+        argv = ["gen", "--seed", str(seed)]
+        for name, value in options.items():
+            argv += [f"{name}={value}"] if joined else [name, value]
+        if target is not None:
+            argv.append(f"--out={target}")
+        stdout, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+        if code == 0:
+            text = stdout.getvalue() if target is None else target.read_text(encoding="utf-8")
+            assert write_graph(read_graph(text)) == text
+
+
+WORD_TOKENS = st.one_of(
+    st.builds("g{}{}".format, st.integers(0, 12), st.sampled_from(["", "^-1", "^-2", "^1"])),
+    st.text(st.sampled_from(list("g0123456789^- ") + ["٣", "２", "²"]),
+            max_size=8))
+
+
+@given(st.lists(WORD_TOKENS, max_size=10).map(" ".join))
+@settings(max_examples=300, deadline=None)
+def test_parse_word_fuzz(text):
+    """`parse_word` returns a freely reduced word that `format_word` writes
+    back to itself, or raises `WordError`."""
+    try:
+        w = parse_word(text)
+    except WordError:
+        return
+    assert 0 not in w
+    assert all(a != -b for a, b in zip(w, w[1:]))
+    assert parse_word(format_word(w)) == w if w else format_word(w) == "-"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--seed", "1", "--vertices", "2", "--out=--"],
+    ["gen", "--seed", "1", "--vertices=--"],
+    ["disguise", "g.txt", "--seed=--", "--out-graph", "a", "--out-hom", "b"],
+    ["spectrum", "g.txt", "--max-len=--"],
+    ["reduce", "g.txt", "--path=--"],
+    ["reconstruct", "a", "b", "c", "--sweep=--"],
+])
+def test_double_dash_option_value_is_usage_error(capsys, argv):
+    """argparse reads `--opt=--` as an empty list, past the option's type."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "mlsgraph: error: '--' is not an option value"

@@ -5,8 +5,14 @@ sites, so the tests reach them around those checks:
 `distinguishing_pair` is called directly on bad paths; `transport_path`
 runs with `_check_spectrum` patched out, under homs that keep no lengths;
 and `branch_point_map` and `reconstruct` run with `transport_path`
-replaced by a table of chosen image paths.
+replaced by a table of chosen image paths.  An inventory test reads the
+codes off `rigidity.py` and requires each one in some test's assertion and in
+README's table of failure codes.
 """
+
+import ast
+import re
+from pathlib import Path
 
 import pytest
 
@@ -130,3 +136,55 @@ def test_reconstruct_reports_a_branched_induced_hom_failure(monkeypatch, theta):
         {e0.steps: e1, e1.steps: e0, e2.steps: e2}))
     assert reconstruct(theta, theta, identity_hom(spanning_tree(theta))) == \
         ReconstructionFailure("induced-hom", "generator g1")
+
+
+# -- the failure-code inventory --------------------------------------------------
+
+TESTS = Path(__file__).parent
+
+
+def failure_codes() -> set[str]:
+    """The code literal of every `RigidityError(...)` and
+    `ReconstructionFailure(...)` built in `rigidity.py`, and of the
+    `super().__init__(...)` call of each `RigidityError` subclass."""
+    tree = ast.parse(Path(rigidity.__file__).read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) in ("RigidityError", "ReconstructionFailure")]
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(getattr(b, "id", None) == "RigidityError"
+                                                 for b in cls.bases):
+            calls += [node for node in ast.walk(cls) if isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", None) == "__init__"]
+    return {call.args[0].value for call in calls
+            if call.args and isinstance(call.args[0], ast.Constant)}
+
+
+def asserted_strings() -> list[str]:
+    """String literals in the `assert` statements of the test modules, and in
+    the `pytest.mark.parametrize` tables that feed them."""
+    out = []
+    for path in sorted(TESTS.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "parametrize"):
+                out += [c.value for c in ast.walk(node)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    return out
+
+
+def readme_code_table() -> set[str]:
+    """Codes in the first column of README's table of failure codes."""
+    text = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("| code | phase | witness |"):].split("\n\n")[0]
+    return set(re.findall(r"^\| `([a-z0-9-]+)` \|", table, re.MULTILINE))
+
+
+def test_every_failure_code_is_asserted_and_documented():
+    codes = failure_codes()
+    assert "spectrum-mismatch" in codes and "induced-hom" in codes
+    assert "circle-mismatch" not in codes
+    strings = asserted_strings()
+    unasserted = {code for code in codes if not any(
+        re.search(rf"(?<![\w-]){re.escape(code)}(?![\w-])", s) for s in strings)}
+    assert unasserted == set()
+    assert readme_code_table() == codes

@@ -10,19 +10,25 @@ For a disguise (g, g', phi) with branch map f:
   keeps the REJECT code and the mismatched word, and scales both of its
   printed lengths (or circumferences) by 7/3;
 - composed with the hom of a disguise (g', g'', phi') with branch map f',
-  phi' phi accepts (g, g''), with the branch map f' f.
+  phi' phi accepts (g, g''), with the branch map f' f;
+- composed with conjugation by a word c, phi accepts with the same branch
+  and segment lines, and with tau c^-1 for tau.
 """
 
+import random
 import re
 from fractions import Fraction
 
-from helpers import c08_negative
+from helpers import c08_negative, disguise_instances
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlsgraph import MetricGraph, compute_core, disguise, random_graph, spanning_tree
-from mlsgraph.fungroup import Hom, apply_hom, identity_hom
-from mlsgraph.rigidity import IsometryCertificate, ReconstructionFailure, reconstruct
+from mlsgraph.fungroup import (Hom, apply_hom, concat_words, free_reduce, identity_hom,
+                               invert_word, word_to_loop)
+from mlsgraph.paths import cyclic_reduce_based
+from mlsgraph.rigidity import (IsometryCertificate, ReconstructionFailure, distinguishing_pair,
+                               reconstruct)
 
 SCALE = Fraction(7, 3)
 
@@ -108,3 +114,56 @@ def test_composed_disguises_compose_their_branch_maps(pair, seed):
     cert = reconstruct(g, second.graph, Hom(first.hom.source, second.hom.target, images, inverse))
     assert isinstance(cert, IsometryCertificate), cert
     assert cert.vertex_map == {x: second.branch_map[y] for x, y in first.branch_map.items()}
+
+
+def _random_reduced_word(rng, rank, length):
+    letters = [s * k for k in range(1, rank + 1) for s in (1, -1)]
+    w = [rng.choice(letters)]
+    while len(w) < length:
+        w.append(rng.choice([x for x in letters if x != -w[-1]]))
+    return tuple(w)
+
+
+def _lines(report, kind):
+    return [line for line in report.splitlines() if line.startswith(kind + " ")]
+
+
+def _wrapping_transports(g, hom):
+    """Segments of `g` whose image loops, as `transport_path` realizes them,
+    have a conjugator remainder longer than the other image loop."""
+    core, wraps = compute_core(g), 0
+    for seg in core.segments:
+        pair = distinguishing_pair(core, seg.path, hom.source)
+        based, conj = zip(*(cyclic_reduce_based(word_to_loop(hom.target, apply_hom(hom, w)))
+                            for w in (pair.word1, pair.word2)))
+        short = 0 if len(conj[0].steps) <= len(conj[1].steps) else 1
+        remainder = len(conj[1 - short].steps) - len(conj[short].steps)
+        wraps += remainder > len(based[short].steps)
+    return wraps
+
+
+def test_conjugated_hom_conjugates_tau():
+    """phi composed with conjugation by c, g -> c phi(g) c^-1, has inverse
+    h -> phi^-1(c)^-1 phi^-1(h) phi^-1(c) and accepts with the same branch
+    and segment lines, and tau c^-1 for tau.  Its image loops carry c's path
+    in their conjugators, so some transports see a conjugator remainder
+    longer than the other image loop, which wraps round it."""
+    rng = random.Random(11)
+    instances = [(g, inst) for g, inst in disguise_instances(200) if inst.hom.source.rank >= 2]
+    wraps = 0
+    for g, inst in instances:
+        hom = inst.hom
+        cert = reconstruct(g, inst.graph, hom)
+        assert isinstance(cert, IsometryCertificate), cert
+        c = _random_reduced_word(rng, hom.target.rank, rng.randint(4, 12))
+        pc = apply_hom(hom.inverse(), c)
+        conj = Hom(hom.source, hom.target,
+                   tuple(concat_words(c, w, invert_word(c)) for w in hom.images),
+                   tuple(concat_words(invert_word(pc), w, pc) for w in hom.inverse_images))
+        got = reconstruct(g, inst.graph, conj)
+        assert isinstance(got, IsometryCertificate), got
+        for kind in ("branch", "segment"):
+            assert _lines(got.report(), kind) == _lines(cert.report(), kind)
+        assert got.tau == free_reduce(cert.tau + invert_word(c))
+        wraps += _wrapping_transports(g, conj)
+    assert len(instances) >= 60 and wraps > 0

@@ -16,7 +16,11 @@
   reject-cli corpus, 48 rank-12 negatives, at seeds 1 and 2;
 - the same as for c07 for the seed-3 rank ladder, `disguise(g, 103)` of
   `g = random_graph(3, v, r, 10)` at (r, v) = (16, 14), (32, 24) and
-  (64, 40), at sweep 0 and 4.
+  (64, 40), at sweep 0 and 4;
+- the whole certificate, which `report()` prints only in part (its length
+  ledger, distance ledger, tau and induced images as well), of c07 and of
+  the ladder at sweep 0, and of eight rank-16 pairs built as the benchmark's
+  certify-large corpus is, at seeds 1 and 2, at sweep 0.
 
 The file is append-only.  This command adds the digests of groups it does
 not hold yet, and writes nothing and exits 1, naming them, if a digest it
@@ -33,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -41,7 +46,8 @@ from helpers import c08_negative, disguise_instances, nielsen_homs
 from test_acceptance import _connected_multigraphs, _random_corpus
 from test_sweep_order import _rank12_negatives
 
-from mlsgraph import cli, disguise, random_graph, reconstruct, spanning_tree, write_graph
+from mlsgraph import (cli, compute_core, disguise, random_graph, reconstruct, spanning_tree,
+                      write_graph)
 from mlsgraph.disguise import truth_comments
 from mlsgraph.fungroup import format_spectrum_table, format_word, spectrum_table, write_hom
 
@@ -62,6 +68,27 @@ def _graphs():
 def _report(result):
     images = getattr(result, "induced_images", ())
     return result.report() + "".join(f"image {format_word(w)}\n" for w in images)
+
+
+def _certificate(result):
+    """`_report` plus an ACCEPT's ledgers, rows in certificate order."""
+    lines = [f"length {a} {b}\n" for a, b in getattr(result, "length_ledger", ())]
+    lines += [f"distance {x} {y} {d1} {d2}\n"
+              for x, y, d1, d2 in getattr(result, "distance_ledger", ())]
+    return _report(result) + "".join(lines)
+
+
+def _certify_large_pairs(seed, count=8):
+    """The benchmark's certify-large construction: (graph, disguise) for rank-16
+    `random_graph(., 14, 16, 10)` drawn until pair k's core has 11 branch
+    points for even k and 12 for odd k."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = random_graph(rng.randrange(2**31), 14, 16, 10)
+        if len(compute_core(g).branch_points) == 11 + len(out) % 2:
+            out.append((g, disguise(g, rng.randrange(2**31))))
+    return out
 
 
 def _core_outputs():
@@ -95,7 +122,8 @@ def compute_digests() -> dict[str, str]:
         "c07-sweep0", "c07-sweep4", "c08-sweep0", "c08-sweep4",
         "c07-sweep2", "c07-sweep3", "c08-sweep2", "c08-sweep3",
         "nielsen-sweep0", "nielsen-sweep2", "nielsen-sweep3", "nielsen-sweep4", "core-cli",
-        "reject-cli-seed1", "reject-cli-seed2", "ladder-sweep0", "ladder-sweep4")}
+        "reject-cli-seed1", "reject-cli-seed2", "ladder-sweep0", "ladder-sweep4",
+        "cert-c07-sweep0", "cert-ladder-sweep0", "cert-large-seed1", "cert-large-seed2")}
     for g, seed in _graphs():
         inst = disguise(g, seed)
         hashes["disguise-graph"].update(
@@ -107,8 +135,10 @@ def compute_digests() -> dict[str, str]:
     for k, (g, inst) in enumerate(instances):
         g2p, hom = c08_negative(g, inst, k)
         for sweep in (0, 2, 3, 4):
-            hashes[f"c07-sweep{sweep}"].update(
-                _report(reconstruct(g, inst.graph, inst.hom, sweep)).encode())
+            result = reconstruct(g, inst.graph, inst.hom, sweep)
+            hashes[f"c07-sweep{sweep}"].update(_report(result).encode())
+            if sweep == 0:
+                hashes["cert-c07-sweep0"].update(_certificate(result).encode())
             hashes[f"c08-sweep{sweep}"].update(_report(reconstruct(g, g2p, hom, sweep)).encode())
     for g1, g2, hom in nielsen_homs(instances[:60]):
         for sweep in (0, 2, 3, 4):
@@ -122,8 +152,14 @@ def compute_digests() -> dict[str, str]:
         g = random_graph(3, vertices, rank, 10)
         inst = disguise(g, 103)
         for sweep in (0, 4):
-            hashes[f"ladder-sweep{sweep}"].update(
-                _report(reconstruct(g, inst.graph, inst.hom, sweep)).encode())
+            result = reconstruct(g, inst.graph, inst.hom, sweep)
+            hashes[f"ladder-sweep{sweep}"].update(_report(result).encode())
+            if sweep == 0:
+                hashes["cert-ladder-sweep0"].update(_certificate(result).encode())
+    for seed in (1, 2):
+        for g, inst in _certify_large_pairs(seed):
+            hashes[f"cert-large-seed{seed}"].update(
+                _certificate(reconstruct(g, inst.graph, inst.hom, 0)).encode())
     return {name: h.hexdigest() for name, h in hashes.items()}
 
 

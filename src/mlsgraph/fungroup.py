@@ -245,17 +245,21 @@ def word_to_loop(basis: Basis, w: Word) -> EdgePath:
     """Reduced based loop at the basepoint realizing the word.
 
     Each generator crossing contributes tree path out, the generator edge,
-    and tree path back.
+    and tree path back.  The steps so far and each block are reduced, so
+    only a run at the junction cancels: the block's head against the steps'
+    tail, until the first pair that does not cancel.
     """
     steps: list[DirectedEdge] = []
     for letter in w:
         if letter == 0 or abs(letter) > basis.rank:
             raise WordError(f"generator index {letter} out of range")
-        for step in basis._gen_block(letter):
-            if steps and steps[-1].edge == step.edge and steps[-1].rev != step.rev:
-                steps.pop()
-            else:
-                steps.append(step)
+        block = basis._gen_block(letter)
+        n, k = len(steps), 0
+        while (k < n and k < len(block) and steps[n - 1 - k].edge == block[k].edge
+               and steps[n - 1 - k].rev != block[k].rev):
+            k += 1
+        del steps[n - k:]
+        steps += block[k:]
     return EdgePath(basis.graph, basis.basepoint, tuple(steps))
 
 

@@ -85,7 +85,9 @@ class DirectedEdge(NamedTuple):
     rev: bool = False
 
     def reverse(self) -> "DirectedEdge":
-        return DirectedEdge(self.edge, not self.rev)
+        """The opposite orientation, built by `tuple.__new__` (the named
+        tuple's own `__new__` is a slower Python-level function)."""
+        return tuple.__new__(DirectedEdge, (self[0], not self[1]))
 
     def __str__(self) -> str:
         return f"e{self.edge}^-1" if self.rev else f"e{self.edge}"
@@ -215,8 +217,11 @@ class MetricGraph:
         lexicographically least among equal lengths: one Dijkstra over
         `(length, steps)` keys, run to the end and cached per source (do not
         modify the table).  A settled key is final, so each path equals the
-        one a search stopped at that vertex returns."""
+        one a search stopped at that vertex returns.  Relaxation reads the
+        adjacency, edge records and scaled lengths directly."""
         if u not in self._shortest:
+            self.out_steps(u)  # GraphError on an unknown vertex
+            adj, edges, scaled = self._adj, self._edges, self._scaled
             best = {u: (0, ())}
             heap = [(0, (), u)]
             settled: dict[int, tuple[DirectedEdge, ...]] = {}
@@ -225,11 +230,13 @@ class MetricGraph:
                 if x in settled:
                     continue
                 settled[x] = steps
-                for step in self.out_steps(x):
-                    w = self.step_head(step)
+                for step in adj[x]:
+                    eid, rev = step
+                    rec = edges[eid]
+                    w = rec.u if rev else rec.v
                     if w in settled:
                         continue
-                    cand = (dist + self._scaled[step.edge], steps + (step,))
+                    cand = (dist + scaled[eid], steps + (step,))
                     if w not in best or cand < best[w]:
                         best[w] = cand
                         heapq.heappush(heap, (cand[0], cand[1], w))

@@ -110,6 +110,13 @@ class DistinguishedPair:
     def cross_length(self) -> Fraction:
         return self.loop1.length + self.loop2.length - 2 * self.path.length
 
+    def scaled_lengths(self) -> tuple[int, int, int, int]:
+        """l(path), l(loop1), l(loop2) and `cross_length`, each summed once
+        as an int: times the length scale of the graph the pair lives on."""
+        scaled = self.path.graph._scaled
+        p, a, b = (sum(scaled[e] for e, _ in q.steps) for q in (self.path, self.loop1, self.loop2))
+        return p, a, b, a + b - 2 * p
+
 
 def _frames(core: MetricGraph, firsts, lasts) -> Iterator[tuple]:
     """Yield (d, a, route) for every first step d and last step a, in that
@@ -148,8 +155,9 @@ def _pair_candidates(core: CoreDecomposition, p: EdgePath):
     A loop is `p` then a frame's route from a first step d that does not
     backtrack along `p` to a last step a that does not backtrack into it.
     A loop segment pairs its square with each frame; an arc pairs two frames
-    with distinct d and distinct a, each loop reading copies of one tee that
-    is never advanced, so `_frames` runs only as far as some copy has got."""
+    with distinct d and distinct a.  Its loops read copies of one tee per
+    first step, never advanced, so each d's tree grows only as far as some
+    copy has got, and the second loop skips the first loop's d outright."""
     cg = core.core
     x, y = p.start, p.end
     first_p, last_p = p.steps[0], p.steps[-1]
@@ -165,12 +173,14 @@ def _pair_candidates(core: CoreDecomposition, p: EdgePath):
 
     outs_y = [d for d in cg.out_steps(y) if d != last_p.reverse()]
     ins_x = [a for a in into_x if a != first_p.reverse()]
-    frames, = tee(_frames(cg, outs_y, ins_x), 1)
-    for d1, a1, r1 in copy(frames):
-        loop1 = p.steps + r1
-        for d2, a2, r2 in copy(frames):
-            if d1 != d2 and a1 != a2:
-                yield loop1, p.steps + r2, ("arc", (d1, a1), (d2, a2))
+    trees = [tee(_frames(cg, (d,), ins_x), 1)[0] for d in outs_y]
+    for i, frames1 in enumerate(trees):
+        for d1, a1, r1 in copy(frames1):
+            loop1 = p.steps + r1
+            for frames2 in trees[:i] + trees[i + 1:]:
+                for d2, a2, r2 in copy(frames2):
+                    if a1 != a2:
+                        yield loop1, p.steps + r2, ("arc", (d1, a1), (d2, a2))
 
 
 def distinguishing_pair(core: CoreDecomposition, p: EdgePath, basis: Basis,
@@ -237,6 +247,11 @@ def _check_spectrum(w: Word, expected: Fraction, got: Fraction) -> None:
         raise SpectrumMismatchError(w, expected, got)
 
 
+def _common_run(a, b) -> int:
+    """Length of the longest common prefix of two step sequences."""
+    return next((k for k, (s, t) in enumerate(zip(a, b)) if s != t), min(len(a), len(b)))
+
+
 def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
                    pair: DistinguishedPair) -> EdgePath:
     """Image of a distinguished path under the spectrum-preserving isomorphism.
@@ -253,17 +268,30 @@ def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
 
     The three spectrum values are read off the image loops: the cyclically
     reduced cores of loop1, loop2 and loop1^-1 loop2 (the cross word's loop).
+    Both image loops are reduced, so the cross loop reduces to
+    rev(loop1[k:]) loop2[k:], for k the length of their common prefix, and
+    only its ends can still cancel.  The pair's lengths are read once, as
+    scaled ints, and the image path's is compared by cross-multiplication.
     """
     g2 = basis2.graph
+    scale1, scale2 = pair.path.graph.length_scale, g2.length_scale
+    n_path, n1, n2, n_cross = pair.scaled_lengths()
     loops, based, conj = [], [], []
-    for w, expected in zip((pair.word1, pair.word2), pair.loop_lengths):
-        loops.append(word_to_loop(basis2, apply_hom(hom, w)))
-        b, c = cyclic_reduce_based(loops[-1])
-        _check_spectrum(w, expected, b.length)
+    for w, n in ((pair.word1, n1), (pair.word2, n2)):
+        loop = word_to_loop(basis2, apply_hom(hom, w))
+        b, c = cyclic_reduce_based(loop)
+        loops.append(loop.steps)
+        _check_spectrum(w, Fraction(n, scale1), b.length)
         based.append(b)
         conj.append(c)
-    cross, _ = cyclic_reduce_based(loops[0].reverse().then(loops[1]))
-    _check_spectrum(pair.cross_word, pair.cross_length, cross.length)
+    k = _common_run(*loops)
+    cross = _reversed_steps(loops[0][k:]) + loops[1][k:]
+    i, j = 0, len(cross)
+    while j - i >= 2 and cross[j - 1] == cross[i].reverse():
+        i += 1
+        j -= 1
+    _check_spectrum(pair.cross_word, Fraction(n_cross, scale1),
+                    Fraction(sum(g2._scaled[e] for e, _ in cross[i:j]), scale2))
 
     long_i = 0 if len(conj[0].steps) >= len(conj[1].steps) else 1
     short_i = 1 - long_i
@@ -283,21 +311,10 @@ def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
                             "conjugator remainder does not run along the other image loop")
 
     a, b = anchor.steps, rot
-    prefix = []
-    for s, t in zip(a, b):
-        if s != t:
-            break
-        prefix.append(s)
-    suffix = []
-    for s, t in zip(reversed(a), reversed(b)):
-        if s != t:
-            break
-        suffix.append(s)
-    suffix.reverse()
-    nu_steps = tuple(suffix) + tuple(prefix)
-    start = g2.step_tail(suffix[0]) if suffix else q
-    nu = EdgePath(g2, start, nu_steps)
-    if nu.length != pair.path_length:
+    m, n = _common_run(a, b), _common_run(a[::-1], b[::-1])
+    nu_steps = a[len(a) - n:] + a[:m]
+    nu = EdgePath(g2, g2.step_tail(nu_steps[0]) if n else q, nu_steps)
+    if sum(g2._scaled[e] for e, _ in nu_steps) * scale1 != n_path * scale2:
         raise RigidityError(
             "claim2-length",
             f"common subpath has length {nu.length}, expected {pair.path_length}")
@@ -413,19 +430,26 @@ def extend_isometry(core1: CoreDecomposition, basis1: Basis,
     """Extend a verified branch-point match to a segment correspondence.
 
     Every source segment's transported image must be exactly a target segment
-    of the same length; the correspondence must be a bijection.
+    of the same length; the correspondence must be a bijection.  An oriented
+    core segment is fixed by its first step, so each image is compared with
+    the one target segment, forward or reversed, that starts as it does.
     """
-    # (start, steps) of every target segment, forward and reversed, to its
-    # (index, reversed) row; the first entry wins, as in a scan in j order.
-    by_path: dict[tuple, tuple[int, bool]] = {}
+    # (start, first step) of every target segment, forward and reversed, to
+    # its (index, reversed) row; the first entry wins, as in a scan in j order.
+    by_first: dict[tuple, tuple[int, bool]] = {}
     for j, target in enumerate(core2.segments):
-        for path, flag in ((target.path, False), (target.path.reverse(), True)):
-            by_path.setdefault((path.start, path.steps), (j, flag))
+        p = target.path
+        by_first.setdefault((p.start, p.steps[0]), (j, False))
+        by_first.setdefault((p.end, p.steps[-1].reverse()), (j, True))
     seg_map = []
     ledger = []
     used: set[int] = set()
     for i, (seg, nu) in enumerate(zip(core1.segments, branch.images)):
-        match = by_path.get((nu.start, nu.steps))
+        match = by_first.get((nu.start, nu.steps[0])) if nu.steps else None
+        if match is not None:
+            steps = core2.segments[match[0]].path.steps
+            if (_reversed_steps(steps) if match[1] else steps) != nu.steps:
+                match = None
         if match is None:
             if any(t.length == seg.length for t in core2.segments):
                 raise RigidityError("segment-unmatched",

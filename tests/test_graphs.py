@@ -133,6 +133,17 @@ def test_directed_edge_reverse_involution():
     assert str(e.reverse()) == "e3^-1"
 
 
+@given(edge=st.integers(0, 2**70), rev=st.booleans())
+def test_directed_edge_reverse_is_a_directed_edge(edge, rev):
+    e = DirectedEdge(edge, rev)
+    back = e.reverse()
+    assert type(back) is DirectedEdge
+    assert back == DirectedEdge(edge, not rev) and hash(back) == hash(DirectedEdge(edge, not rev))
+    assert (back.edge, back.rev) == (edge, not rev)
+    assert back.reverse() == e and hash(back.reverse()) == hash(e)
+    assert sorted([back, e]) == [DirectedEdge(edge, False), DirectedEdge(edge, True)]
+
+
 def test_next_steps_continue_without_backtracking(dumbbell):
     loop, bridge = DirectedEdge(0), DirectedEdge(2)
     # At a self-loop only the loop's own reverse is a backtrack.

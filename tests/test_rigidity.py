@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -166,7 +167,8 @@ def test_transport_reads_the_target_spectrum(seed, vertices, extra, perturbed):
 
 
 def test_branch_map_builds_two_loops_per_transport(monkeypatch):
-    counts = dict.fromkeys(("marked_length", "word_to_loop", "transport_path"), 0)
+    counts = dict.fromkeys(("marked_length", "word_to_loop", "transport_path",
+                            "cyclic_reduce_based"), 0)
 
     def counting(name, real):
         def counted(*args):
@@ -182,8 +184,11 @@ def test_branch_map_builds_two_loops_per_transport(monkeypatch):
     inst = disguise(g, 4)
     core1 = compute_core(g)
     branch_point_map(core1, inst.hom.source, compute_core(inst.graph), inst.hom.target, inst.hom)
+    # The cross loop is read off the two image loops, not cyclically reduced
+    # from scratch, so each image loop is split once and nothing else is.
     assert counts == {"marked_length": 0, "word_to_loop": 2 * len(core1.segments),
-                      "transport_path": len(core1.segments)}
+                      "transport_path": len(core1.segments),
+                      "cyclic_reduce_based": 2 * len(core1.segments)}
 
 
 # -- branch map and certificates ------------------------------------------------
@@ -433,6 +438,99 @@ def test_extend_isometry_matches_and_codes(theta):
     four = MetricGraph([0, 1], [(0, 0, 1, 1), (1, 0, 1, 2), (2, 0, 1, 3), (3, 0, 1, 4)])
     assert code(paths, core2=compute_core(four)) == \
         "segment-unmatched: target segments left unmatched"
+
+
+def _extend(core, images):
+    """`extend_isometry` of a core onto itself with the identity branch map
+    and the given transported images."""
+    basis = spanning_tree(core.graph)
+    ids = {x: x for x in core.branch_points}
+    return extend_isometry(core, basis, core, basis,
+                           rigidity.BranchMatch(ids, ids, (), tuple(images)))
+
+
+def test_extend_isometry_refuses_an_empty_image(theta, dumbbell):
+    for g in (theta, dumbbell):
+        core = compute_core(g)
+        images = [seg.path for seg in core.segments]
+        images[1] = EdgePath(core.core, images[1].start, ())
+        with pytest.raises(RigidityError) as err:
+            _extend(core, images)
+        assert err.value.code in ("segment-unmatched", "segment-length")
+        assert "segment 1 " in err.value.detail
+
+
+def test_extend_isometry_parallel_segments_of_equal_length():
+    # e0 and e1 join the branch points 0 and 1 with length 2 each; e2 is 3.
+    g = MetricGraph([0, 1], [(0, 0, 1, 2), (1, 0, 1, 2), (2, 0, 1, 3)])
+    core = compute_core(g)
+    e0, e1, e2 = (seg.path for seg in core.segments)
+    assert e0.length == e1.length
+    assert _extend(core, [e0, e1, e2]).segment_map == ((0, 0, False), (1, 1, False),
+                                                       (2, 2, False))
+    assert _extend(core, [e1, e0.reverse(), e2]).segment_map == \
+        ((0, 1, False), (1, 0, True), (2, 2, False))
+    with pytest.raises(RigidityError, match="target segment 0 matched twice"):
+        _extend(core, [e0, e0, e2])
+
+
+def test_extend_isometry_self_loop_segments(dumbbell):
+    # Self-loops e0 (2) at 0 and e1 (3) at 1, joined by the bridge e2 (1):
+    # a loop segment's forward and reversed images start at the same vertex.
+    core = compute_core(dumbbell)
+    paths = [seg.path for seg in core.segments]
+    loops = [i for i, p in enumerate(paths) if p.is_closed()]
+    assert len(loops) == 2
+    flipped = [p.reverse() if p.is_closed() else p for p in paths]
+    assert _extend(core, flipped).segment_map == \
+        tuple((i, i, i in loops) for i in range(len(paths)))
+    cert = _extend(core, paths)
+    assert cert.segment_map == tuple((i, i, False) for i in range(len(paths)))
+    assert cert.length_ledger == tuple((p.length, p.length) for p in paths)
+
+
+def _lengths_in_one_two(seed, vertices, extra):
+    """`random_graph(seed, vertices, extra, 2)` with every length redrawn
+    from {1, 2}."""
+    g = random_graph(seed, vertices, extra, 2)
+    rng = random.Random(seed)
+    return MetricGraph(g.vertex_ids, [(eid, rec.u, rec.v, rng.choice((1, 2)))
+                                      for eid, rec in g.edges_sorted()])
+
+
+def test_reconstruct_agrees_with_brute_force_isometry():
+    # Lengths in {1, 2} make equal lengths and isometric cores common.  A
+    # perturbed pair lengthens one core edge of the source by d and shortens
+    # another by d, then disguises it, and keeps the disguise's hom: the
+    # result may or may not be isometric to the source.  An ACCEPT, at sweep
+    # 0 and by the default sweep alike, needs isometric cores; so a pair
+    # the oracle finds not isometric must be refused.
+    outcomes = dict.fromkeys(("accept", "isometric-reject", "non-isometric-reject"), 0)
+    for seed in range(300):
+        g = _lengths_in_one_two(seed, 2 + seed % 4, 1 + seed % 4)
+        core1 = compute_core(g)
+        if not core1.branch_points or len(core1.branch_points) > 10:
+            continue
+        inst = disguise(g, seed + 1)
+        assert isinstance(reconstruct(g, inst.graph, inst.hom, 0), IsometryCertificate), seed
+        rng = random.Random(seed)
+        up, down = rng.sample(sorted(core1.core.edge_ids), 2)
+        d = Fraction(rng.choice((1, 2)), 2) * min(g.length(up), g.length(down))
+        d = d if d < g.length(down) else d / 2
+        shifted = MetricGraph(g.vertex_ids, [
+            (eid, rec.u, rec.v, rec.length + (d if eid == up else -d if eid == down else 0))
+            for eid, rec in g.edges_sorted()])
+        twin = disguise(shifted, seed + 2)
+        hom = Hom(spanning_tree(g), twin.hom.target, twin.hom.images, twin.hom.inverse_images)
+        accepted = isinstance(reconstruct(g, twin.graph, hom, 0), IsometryCertificate)
+        assert isinstance(reconstruct(g, twin.graph, hom), IsometryCertificate) == accepted
+        isometric = brute_force_isometry(core1.core, compute_core(twin.graph).core) is not None
+        if accepted:
+            assert isometric, seed
+            outcomes["accept"] += 1
+        else:
+            outcomes[("" if isometric else "non-") + "isometric-reject"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_certificate_report_format(dumbbell):

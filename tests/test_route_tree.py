@@ -154,12 +154,15 @@ def test_one_route_tree_per_first_step(monkeypatch):
 
 def test_route_tree_expansions_on_fixed_cores(monkeypatch, theta):
     # Theta, segment e0 (0 -> 1): the first steps are e1^-1 and e2^-1 and the
-    # last steps the same two.  Frame (e1^-1, e1^-1) expands nothing;
-    # (e1^-1, e2^-1) expands e1^-1 and e0; (e2^-1, e1^-1) expands e2^-1 and
-    # e0 but shares its last step with the first frame, so cannot pair with
-    # it; (e2^-1, e2^-1) is already in the tree and pairs with the first frame.
-    # 4 expansions, where the eager trees expanded all 6 states each.  The
-    # other segments follow the same steps further before a pair is found.
+    # last steps the same two.  Frame (e1^-1, e1^-1) expands nothing.  The
+    # second loop skips e1^-1's frames and starts e2^-1's tree:
+    # (e2^-1, e1^-1) expands e2^-1 and e0 but shares its last step with the
+    # first frame, so cannot pair with it; (e2^-1, e2^-1) is the tree's root
+    # and pairs with the first frame.  2 expansions, where a second loop over
+    # every first step's frames expanded 4 (it grew e1^-1's tree to e2^-1
+    # first) and the eager trees all 6 states each.  Segments e1 and e2 go
+    # the same way, but the route from e2^-1 (from e1^-1 for e2) to e0^-1
+    # expands 3 states.
     cores = [(compute_core(g), spanning_tree(g))
              for g in (theta, MetricGraph(*TWO_LOOPS_TWO_ARCS))]
     expanded = _count_expansions(monkeypatch)
@@ -171,4 +174,4 @@ def test_route_tree_expansions_on_fixed_cores(monkeypatch, theta):
             distinguishing_pair(core, seg.path, basis)
             per_segment.append(len(expanded))
         counts.append(per_segment)
-    assert counts == [[4, 5, 6], [3, 3, 3, 2]]
+    assert counts == [[2, 3, 3], [3, 3, 3, 2]]

@@ -22,7 +22,7 @@ from mlsgraph import (Hom, IsometryCertificate, MetricGraph, compute_core, disgu
                       random_graph, reconstruct, rigidity, spanning_tree)
 from mlsgraph.disguise import _inverse_images
 from mlsgraph.fungroup import WordError, enumerate_reduced_words, spectrum_table, word_to_loop
-from mlsgraph.paths import PathError, is_reduced, reduce_path
+from mlsgraph.paths import PathError, is_reduced, reduce_path, reduce_steps
 from mlsgraph.rigidity import verify_induces_hom
 
 # (rank, max_len), each with at most about 50,000 reduced words.
@@ -215,3 +215,19 @@ def test_induced_images_match_old_mapping():
                             zip(rows, rows[1:] + rows[:1]))
             broken += not _check_against_reference(replace(cert, segment_map=rotated), hom)
     assert mapped >= 60 and broken >= 20, (mapped, broken)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), vertices=st.integers(1, 5), extra=st.integers(1, 4),
+       data=st.data())
+def test_word_to_loop_matches_reducing_the_blocks(seed, vertices, extra, data):
+    # `word_to_loop` cancels only where a generator block meets the steps so
+    # far; one stack scan over all the blocks written out is the reference.
+    # Disguises carry pendant trees, so blocks run out to them and back, and
+    # words need not be reduced.
+    basis = spanning_tree(disguise(random_graph(seed, vertices, extra, 5), seed).graph)
+    letters = [k for g in range(1, basis.rank + 1) for k in (g, -g)]
+    w = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=12)))
+    expected = reduce_steps(step for k in w for step in basis._gen_block(k))
+    loop = word_to_loop(basis, w)
+    assert (loop.start, loop.steps) == (basis.basepoint, tuple(expected))

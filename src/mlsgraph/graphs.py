@@ -112,7 +112,7 @@ class MetricGraph:
     # Built once per graph, on first use, by `is_connected`, by
     # `hull.compute_core` and `hull.CoreDecomposition` (the parts of the
     # decomposition, not the decomposition: it holds the graph) and by
-    # `oracle._transition_tables`; class defaults, so construction pays nothing.
+    # `oracle._transition_tables` (from `_adj`); class defaults, so construction pays nothing.
     _connected: bool | None = None
     _core_parts: tuple | None = None
     _segments: tuple | None = None
@@ -164,11 +164,11 @@ class MetricGraph:
         self._vertices = vertices
         self._edges = recs
         adj: dict[int, list[DirectedEdge]] = {v: [] for v in vertices}
-        for eid, rec in recs.items():
-            if rec.u in vertices and rec.v in vertices:
-                adj[rec.u].append(DirectedEdge(eid, False))
-                adj[rec.v].append(DirectedEdge(eid, True))
-        self._adj = {v: tuple(sorted(out)) for v, out in adj.items()}
+        for eid, (u, v, _) in sorted(recs.items()):  # in id order, so each list is sorted
+            if u in vertices and v in vertices:
+                adj[u].append(tuple.__new__(DirectedEdge, (eid, False)))
+                adj[v].append(tuple.__new__(DirectedEdge, (eid, True)))
+        self._adj = {v: tuple(out) for v, out in adj.items()}
         self._next: dict[DirectedEdge, tuple[DirectedEdge, ...]] = {}
         self._shortest: dict[int, dict[int, tuple[DirectedEdge, ...]]] = {}
         self._scale = scale

@@ -259,7 +259,7 @@ def core_loop_union_agrees(g: MetricGraph, budget: int | None = None) -> bool:
         return not _enumerate_loop_codes(g, 2, budget)
     depth = covering_loop_depth(g, core_edges)
     if depth == 0:
-        return False  # some core edge lies on no loop at all
+        return False  # no core edge lies on a loop, so the union is empty
     return _edges_of(_enumerate_loop_codes(g, depth, budget)) == core_edges
 
 

@@ -45,8 +45,8 @@ def enumerate_cyclic_loops(g: MetricGraph, max_edges: int,
 
 
 def _transition_tables(g: MetricGraph):
-    """Directed-edge codes (2*edge + reversed) in order, head and tail
-    vertices, and non-backtracking successor lists; built once per graph."""
+    """Directed-edge codes (2*edge + reversed) in order, head and tail vertices
+    and non-backtracking successor lists; built once per graph, from `_adj`."""
     if g._transitions is None:
         g._transitions = _build_transition_tables(g)
     return g._transitions
@@ -56,12 +56,12 @@ def _build_transition_tables(g: MetricGraph):
     head = {}
     tail = {}
     succ = {}
-    for d in sorted({s for v in g.vertex_ids for s in g.out_steps(v)}):
-        c = 2 * d.edge + d.rev
-        head[c] = g.step_head(d)
-        tail[c] = g.step_tail(d)
-        succ[c] = tuple(2 * s.edge + s.rev for s in g.next_steps(d))
-    return sorted(head), head, tail, succ
+    for v, out in g._adj.items():
+        codes = tuple([2 * e + r for e, r in out])
+        for i, o in enumerate(codes):  # `o` leaves v, `o ^ 1` enters v
+            tail[o] = head[o ^ 1] = v
+            succ[o ^ 1] = codes[:i] + codes[i + 1:]
+    return sorted(tail), head, tail, succ
 
 
 def _enumerate_loop_codes(g: MetricGraph, max_edges: int,
@@ -71,7 +71,10 @@ def _enumerate_loop_codes(g: MetricGraph, max_edges: int,
     not in canonical form, and a loop whose least step occurs more than once
     appears once per rotation that starts there.  One budget step per walk
     visited.  Depth-first over a stack of successor iterators, so no depth
-    hits the recursion limit."""
+    hits the recursion limit.  No walk has fewer than one step, so a
+    `max_edges` of 0 or less gives none and uses no budget."""
+    if max_edges <= 0:
+        return []
     limit = default_budget() if budget is None else budget
     used = 0
     codes, head, tail, succ = _transition_tables(g)

@@ -156,6 +156,46 @@ def test_next_steps_continue_without_backtracking(dumbbell):
             assert dumbbell.next_steps(step) is dumbbell.next_steps(step)
 
 
+@st.composite
+def shuffled_multigraphs(draw):
+    """Multigraphs with self-loops, parallel edges, isolated vertices,
+    dangling endpoints (an endpoint that is not a vertex) and small or large
+    edge ids, their vertices and rows given in any order."""
+    vertices = draw(st.lists(st.integers(0, 4), unique=True, max_size=4))
+    ends = st.integers(0, 4)
+    ids = draw(st.lists(st.one_of(st.integers(0, 9), st.integers(10**9 - 2, 10**9 + 2)),
+                        unique=True, max_size=8))
+    rows = [(eid, draw(ends), draw(ends), draw(st.integers(1, 3))) for eid in ids]
+    return MetricGraph(draw(st.permutations(vertices)), draw(st.permutations(rows)))
+
+
+def _sorted_adjacency(g):
+    """The reference adjacency: steps appended in record order, then each
+    vertex's steps sorted."""
+    adj = {v: [] for v in g.vertex_ids}
+    for eid, rec in g._edges.items():
+        if rec.u in g.vertex_ids and rec.v in g.vertex_ids:
+            adj[rec.u].append(DirectedEdge(eid, False))
+            adj[rec.v].append(DirectedEdge(eid, True))
+    return {v: tuple(sorted(out)) for v, out in adj.items()}
+
+
+@given(shuffled_multigraphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_adjacency_is_built_sorted(g, data):
+    """Each vertex's steps come out sorted, as `DirectedEdge`s, on a graph
+    and on a subgraph of its edges that have both endpoints."""
+    inner = sorted(eid for eid, rec in g._edges.items()
+                   if rec.u in g.vertex_ids and rec.v in g.vertex_ids)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(inner), max_size=len(inner)))
+    extra = data.draw(st.sets(st.sampled_from(sorted(g.vertex_ids)))) if g.vertex_ids else ()
+    sub = g.subgraph([eid for eid, k in zip(inner, keep) if k], extra)
+    for h in (g, sub):
+        assert h._adj == _sorted_adjacency(h)
+        assert all(type(out) is tuple for out in h._adj.values())
+        assert all(type(s) is DirectedEdge for out in h._adj.values() for s in out)
+
+
 def test_validate_well_formed(theta):
     assert validate_graph(theta) == []
 

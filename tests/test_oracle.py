@@ -1,10 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from loop_enum_reference import reference_transition_tables
+from test_graphs import shuffled_multigraphs
 
 from mlsgraph import (BudgetExceededError, Hom, MetricGraph, brute_force_isometry,
                       compute_core, disguise, enumerate_cyclic_loops, format_path,
                       random_graph, spanning_tree, spectra_agree_up_to)
 from mlsgraph.fungroup import identity_hom, marked_length
 from mlsgraph.graphs import GraphError
+from mlsgraph.hull import core_equals_loop_union
+from mlsgraph.oracle import _build_transition_tables, _enumerate_loop_codes
 
 
 def test_enumerate_theta_two_edges(theta):
@@ -58,6 +63,59 @@ def test_budget_env_override(monkeypatch, theta):
         enumerate_cyclic_loops(theta, 6)
     monkeypatch.setenv("MLS_BUDGET", "1000000")
     assert enumerate_cyclic_loops(theta, 4)
+
+
+def test_no_walk_has_zero_steps(theta):
+    """A depth of 0 or less gives no walk and uses no budget: at budget 0 any
+    step would raise."""
+    tree = MetricGraph(range(4), [(0, 0, 1, 1), (1, 1, 2, 2), (2, 1, 3, 1)])
+    for depth in (0, -1, -40):
+        for g in (theta, tree):
+            assert _enumerate_loop_codes(g, depth, budget=0) == []
+            assert _enumerate_loop_codes(g, depth) == []
+            assert enumerate_cyclic_loops(g, depth) == []
+        assert core_equals_loop_union(theta, depth) is False
+        assert core_equals_loop_union(tree, depth) is True
+
+
+def _table_graphs():
+    return {
+        "dangling": MetricGraph([0, 1], [(0, 0, 1, 1), (1, 1, 0, 2), (2, 1, 5, 1),
+                                         (3, 7, 8, 1), (4, 6, 6, 1)]),
+        "sparse ids": MetricGraph([0, 1, 2], [(10**9, 0, 1, 1), (7, 1, 2, 2),
+                                              (10**9 + 3, 2, 0, 3), (123_456, 2, 2, 1)]),
+        "self-loops and parallel": MetricGraph([0, 1], [(4, 0, 0, 1), (3, 0, 0, 2), (2, 0, 1, 1),
+                                                        (1, 1, 0, 1), (0, 0, 1, 3), (5, 1, 1, 1)]),
+        "isolated": MetricGraph([3, 0, 9, 1], [(0, 0, 1, 1), (1, 0, 1, 2)]),
+        "point": MetricGraph([0], []),
+        "empty": MetricGraph([], []),
+    }
+
+
+def test_transition_tables_match_the_frozen_reference():
+    for name, g in _table_graphs().items():
+        assert _build_transition_tables(g) == reference_transition_tables(g), name
+
+
+@given(shuffled_multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_transition_tables_match_on_shuffled_multigraphs(g):
+    assert _build_transition_tables(g) == reference_transition_tables(g)
+
+
+def test_transition_tables_read_no_step_accessor(monkeypatch):
+    graphs = _table_graphs()
+    calls = []
+    for name in ("next_steps", "step_head", "step_tail", "out_steps"):
+        def counting(self, arg, _name=name, _real=getattr(MetricGraph, name)):
+            calls.append(_name)
+            return _real(self, arg)
+        monkeypatch.setattr(MetricGraph, name, counting)
+    for g in graphs.values():
+        _build_transition_tables(g)
+    assert calls == []
+    reference_transition_tables(graphs["self-loops and parallel"])  # the counters count
+    assert {"out_steps", "step_head", "step_tail"} <= set(calls)
 
 
 def test_brute_force_relabeled(theta):

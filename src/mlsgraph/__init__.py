@@ -5,12 +5,11 @@ from .graphs import (DirectedEdge, GraphError, MetricGraph, attach_tree, format_
                      parse_length, random_graph, read_graph, subdivide_edge, validate_graph,
                      vertex_degree, write_graph)
 from .paths import (ConcatDecomposition, CyclicPath, EdgePath, PathError, concat_reduce,
-                    cyclic_equal, cyclic_equal_unoriented, cyclically_reduce, format_path,
-                    graph_distance, is_reduced, parse_path, path_length,
-                    path_loop_path_normal_form, reduce_path, shortest_path)
-from .fungroup import (Basis, Hom, Word, WordError, apply_hom, canonical_cyclic_word,
-                       format_word, identity_hom, loop_to_word, marked_length, parse_word,
-                       read_hom, spanning_tree, spectrum_table, word_to_loop, write_hom)
+                    cyclically_reduce, format_path, is_reduced, parse_path, reduce_path,
+                    shortest_path)
+from .fungroup import (Basis, Hom, Word, WordError, apply_hom, format_word, identity_hom,
+                       loop_to_word, marked_length, parse_word, read_hom, spanning_tree,
+                       spectrum_table, word_to_loop, write_hom)
 from .hull import (CoreDecomposition, Segment, compute_core, core_equals_loop_union,
                    core_loop_union_agrees, is_circle, retraction_check)
 from .oracle import (BudgetExceededError, brute_force_isometry, enumerate_cyclic_loops,

@@ -17,8 +17,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .graphs import DirectedEdge, GraphError, MetricGraph, parse_index
-from .paths import (CyclicPath, EdgePath, _reversed_steps, cyclically_reduce, least_rotation,
-                    least_rotation_start)
+from .paths import CyclicPath, EdgePath, _reversed_steps, cyclically_reduce, least_rotation_start
 
 Word = tuple[int, ...]
 
@@ -69,15 +68,6 @@ def cyclic_reduce_word(w: Word) -> tuple[Word, Word]:
         i += 1
         j -= 1
     return w[i:j], w[:i]
-
-
-def canonical_cyclic_word(w: Word) -> Word:
-    """Canonical conjugacy-class representative: cyclically reduce, then take
-    the lexicographically least rotation."""
-    core, _ = cyclic_reduce_word(w)
-    if not core:
-        return ()
-    return least_rotation(core)
 
 
 def parse_word(text: str) -> Word:

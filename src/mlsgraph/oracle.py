@@ -12,21 +12,22 @@ import os
 from itertools import permutations
 
 from .fungroup import Basis, Hom, Word, apply_hom, enumerate_reduced_words, marked_length
-from .graphs import DirectedEdge, GraphError, MetricGraph
+from .graphs import DirectedEdge, GraphError, MetricGraph, parse_index
 from .hull import compute_core
 from .paths import CyclicPath, least_rotation
 
 
 class BudgetExceededError(RuntimeError):
-    """An oracle hit its enumeration budget before finishing."""
+    """An oracle hit its enumeration budget before finishing, or MLS_BUDGET is malformed."""
 
 
 def default_budget() -> int:
-    value = os.environ.get("MLS_BUDGET", "")
+    value = os.environ.get("MLS_BUDGET") or "10000000"
     try:
-        return int(value)
+        return parse_index(value)
     except ValueError:
-        return 10_000_000
+        raise BudgetExceededError(
+            f"MLS_BUDGET must be a count in ASCII digits, not {value!r}") from None
 
 
 def enumerate_cyclic_loops(g: MetricGraph, max_edges: int,

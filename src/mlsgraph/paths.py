@@ -7,9 +7,8 @@ unique reduced path in its endpoint-fixed homotopy class, computed here by
 a single stack scan.  Cyclic paths represent free homotopy classes and are
 stored in a canonical rotation.  `least_rotation_start` finds a least
 rotation in linear time; it is the one such search in the package, behind
-every canonical form (cyclic paths and words, and `CyclicPath.based_at`'s
-least rotation from a vertex) and the spectrum sweep's and table's choice of
-one word per class.
+every canonical form (cyclic paths and the oracle's loops) and the spectrum
+sweep's and table's choice of one word per class.
 
 Concatenation helpers take their arguments in traversal order throughout.
 """
@@ -82,12 +81,6 @@ class EdgePath:
     def support(self) -> frozenset[int]:
         return frozenset(s.edge for s in self.steps)
 
-    def vertices(self) -> tuple[int, ...]:
-        out = [self.start]
-        for step in self.steps:
-            out.append(self.graph.step_head(step))
-        return tuple(out)
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -123,21 +116,6 @@ class CyclicPath:
     length = EdgePath.length
     support = EdgePath.support
     __len__ = EdgePath.__len__
-
-    def reverse(self) -> "CyclicPath":
-        return CyclicPath(self.graph, least_rotation(_reversed_steps(self.steps)))
-
-    def based_at(self, vertex: int) -> EdgePath:
-        """The lexicographically least rotation starting at `vertex`, as a based loop."""
-        # Rotations from `vertex` have keys that start (False, .), so are least;
-        # two that agree for j steps stand at one vertex at step j, so their
-        # keys compare as their steps do, and tied rotations are equal.
-        steps, tail = self.steps, self.graph.step_tail
-        keys = [(tail(s) != vertex, s) for s in steps]
-        i = least_rotation_start(keys)
-        if keys[i][0]:
-            raise PathError(f"cyclic path does not pass through vertex {vertex}")
-        return EdgePath(self.graph, vertex, steps[i:] + steps[:i])
 
     def __repr__(self) -> str:
         return f"CyclicPath({' '.join(map(str, self.steps))})"
@@ -300,48 +278,6 @@ def concat_reduce(p1: EdgePath, p2: EdgePath) -> ConcatDecomposition:
     return ConcatDecomposition(q1, q2, r)
 
 
-def path_length(p: EdgePath | CyclicPath) -> Fraction:
-    """Exact sum of the constituent edge lengths."""
-    return p.length
-
-
-def path_loop_path_normal_form(p: EdgePath, loop: CyclicPath) -> EdgePath:
-    """Reduced based loop homotopic to: traverse `p`, the loop, then `p` back.
-
-    The loop must be cyclically reduced and pass through `p`'s endpoint.  The
-    result always visits that vertex again, and when `p` never revisits its
-    own endpoint it starts with `p` or ends with its reverse (both asserted).
-    """
-    if len(loop) == 0:
-        raise PathError("conjugated loop is empty")
-    if not is_reduced(p):
-        raise PathError("conjugating path must be reduced")
-    based = loop.based_at(p.end)
-    first, last = based.steps[0], based.steps[-1]
-    if last == first.reverse() and len(based.steps) >= 2:
-        raise PathError("loop is not cyclically reduced")
-    result = reduce_path(p.then(based).then(p.reverse()))
-    assert p.end in result.vertices(), "normal form lost the conjugation point"
-    n = len(p.steps)
-    if n and p.end not in p.vertices()[:-1]:  # non-self-terminating path
-        assert result.steps[:n] == p.steps or \
-            result.steps[-n:] == p.reverse().steps, \
-            "normal form neither starts with the path nor ends with its reverse"
-    return result
-
-
-def cyclic_equal(c1: CyclicPath, c2: CyclicPath) -> bool:
-    """True iff c2 is a rotation of c1 (orientation preserving)."""
-    if c1.graph is not c2.graph:
-        raise PathError("cyclic paths live on different graphs")
-    return c1.steps == c2.steps
-
-
-def cyclic_equal_unoriented(c1: CyclicPath, c2: CyclicPath) -> bool:
-    """True iff c2 is a rotation of c1 or of its reversal."""
-    return cyclic_equal(c1, c2) or cyclic_equal(c1.reverse(), c2)
-
-
 # -- shortest paths ---------------------------------------------------
 
 def shortest_path(g: MetricGraph, u: int, v: int) -> EdgePath:
@@ -359,10 +295,6 @@ def shortest_path(g: MetricGraph, u: int, v: int) -> EdgePath:
     if steps is None:
         raise GraphError(f"vertex {v} is unreachable from {u}")
     return EdgePath(g, u, steps)
-
-
-def graph_distance(g: MetricGraph, u: int, v: int) -> Fraction:
-    return shortest_path(g, u, v).length
 
 
 # -- literals ---------------------------------------------------------

@@ -1,12 +1,12 @@
 """Shared test utilities: random reduced paths and their re-expansions,
-homomorphisms composed with Nielsen moves, the acceptance suite's
-disguise and negative-instance streams, malformed hom files, and ids that
-the text formats refuse."""
+canonical cyclic words, homomorphisms composed with Nielsen moves, the
+acceptance suite's disguise and negative-instance streams, malformed hom
+files, and ids that the text formats refuse."""
 
 from fractions import Fraction
 
 from mlsgraph import MetricGraph, compute_core, disguise, random_graph, spanning_tree
-from mlsgraph.fungroup import Hom, apply_hom
+from mlsgraph.fungroup import Hom, apply_hom, cyclic_reduce_word
 from mlsgraph.paths import EdgePath
 
 
@@ -23,6 +23,13 @@ def random_reduced_path(rng, g, max_steps, start=None):
         steps.append(step)
         at = g.step_head(step)
     return EdgePath(g, v, tuple(steps))
+
+
+def canonical_cyclic_word(w):
+    """The canonical word of w's conjugacy class: the least of all rotations
+    of its cyclically reduced core, and () for the identity."""
+    core, _ = cyclic_reduce_word(w)
+    return min((core[i:] + core[:i] for i in range(len(core))), default=())
 
 
 def insert_cancelling_pairs(rng, path, count):

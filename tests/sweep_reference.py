@@ -10,8 +10,9 @@ decides from each word alone.  Do not update it to follow the library.
 
 from dataclasses import replace
 
-from mlsgraph.fungroup import (apply_hom, canonical_cyclic_word, cyclic_reduce_word,
-                               enumerate_reduced_words, invert_word, marked_length)
+from helpers import canonical_cyclic_word
+from mlsgraph.fungroup import (apply_hom, cyclic_reduce_word, enumerate_reduced_words,
+                               invert_word, marked_length)
 from mlsgraph.graphs import GraphError, require_valid
 from mlsgraph.hull import compute_core, is_circle
 from mlsgraph.rigidity import (IsometryCertificate, ReconstructionFailure, RigidityError,

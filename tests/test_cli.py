@@ -197,6 +197,26 @@ def test_spectrum_respects_the_budget(theta_file, capsys, monkeypatch):
     assert run(capsys, "spectrum", theta_file, "--max-len", "3") == (0, table, "")
 
 
+@pytest.mark.parametrize("value", ["abc", "1e3", "\u0665\u0660", "-5", "+5", "5_0", " 5"])
+def test_spectrum_refuses_a_malformed_budget(theta_file, capsys, monkeypatch, value):
+    """`int` reads some of these and refuses the others; only ASCII digits
+    are a budget, and anything else is an error, not the default."""
+    monkeypatch.setenv("MLS_BUDGET", value)
+    assert run(capsys, "spectrum", theta_file, "--max-len", "1") == (
+        2, "", f"error: MLS_BUDGET must be a count in ASCII digits, not {value!r}\n")
+
+
+def test_spectrum_budget_unset_empty_and_zero(theta_file, capsys, monkeypatch):
+    monkeypatch.delenv("MLS_BUDGET", raising=False)
+    code, table, _ = run(capsys, "spectrum", theta_file, "--max-len", "1")
+    assert code == 0 and table
+    monkeypatch.setenv("MLS_BUDGET", "")
+    assert run(capsys, "spectrum", theta_file, "--max-len", "1") == (0, table, "")
+    monkeypatch.setenv("MLS_BUDGET", "0")
+    code, out, err = run(capsys, "spectrum", theta_file, "--max-len", "1")
+    assert (code, out) == (2, "") and "budget of 0 words" in err
+
+
 def test_reduce_output(theta_file, capsys):
     code, out, _ = run(capsys, "reduce", theta_file, "--path", "e1 e1^-1 e2")
     assert code == 0

@@ -1,10 +1,10 @@
 import pytest
-from helpers import BAD_HOM_FILES, NON_DIGIT_INDICES
+from helpers import BAD_HOM_FILES, NON_DIGIT_INDICES, canonical_cyclic_word
 
-from mlsgraph import (Basis, GraphError, Hom, MetricGraph, WordError, apply_hom,
-                      canonical_cyclic_word, format_word, identity_hom, loop_to_word,
-                      marked_length, parse_word, random_graph, read_graph, read_hom,
-                      spanning_tree, spectrum_table, word_to_loop, write_hom)
+from mlsgraph import (Basis, GraphError, Hom, MetricGraph, WordError, apply_hom, format_word,
+                      identity_hom, loop_to_word, marked_length, parse_word, random_graph,
+                      read_graph, read_hom, spanning_tree, spectrum_table, word_to_loop,
+                      write_hom)
 from mlsgraph.fungroup import (concat_words, cyclic_reduce_word, enumerate_reduced_words,
                                format_spectrum_table, free_reduce, invert_word, word_power)
 from mlsgraph.paths import format_path, parse_path

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from length_reference import reference_parse_length
 
-from mlsgraph import (GraphError, MetricGraph, attach_tree, format_length, graph_distance,
-                      parse_length, random_graph, read_graph, subdivide_edge, validate_graph,
+from mlsgraph import (GraphError, MetricGraph, attach_tree, format_length, parse_length,
+                      random_graph, read_graph, shortest_path, subdivide_edge, validate_graph,
                       vertex_degree, write_graph)
 from mlsgraph.graphs import MAX_LENGTH_DIGITS, DirectedEdge, random_tree
 
@@ -290,7 +290,7 @@ def test_subdivide_preserves_distances():
         g2 = subdivide_edge(g, eid, [Fraction(1, 3)])
         for u in g.vertex_ids:
             for v in g.vertex_ids:
-                assert graph_distance(g, u, v) == graph_distance(g2, u, v)
+                assert shortest_path(g, u, v).length == shortest_path(g2, u, v).length
 
 
 def test_attach_tree_changes_degree_only(theta):
@@ -299,7 +299,7 @@ def test_attach_tree_changes_degree_only(theta):
     assert vertex_degree(g, 0) == vertex_degree(theta, 0) + vertex_degree(tree, 0)
     for u in theta.vertex_ids:
         for v in theta.vertex_ids:
-            assert graph_distance(g, u, v) == graph_distance(theta, u, v)
+            assert shortest_path(g, u, v).length == shortest_path(theta, u, v).length
 
 
 def test_attach_empty_tree_is_identity(theta):
@@ -360,7 +360,7 @@ def test_triangle_inequality_exhaustive():
     for seed in range(7):
         g = random_graph(seed, 4 + 2 * seed if seed < 5 else 12, 2, 8)
         vs = sorted(g.vertex_ids)
-        dist = {(u, v): graph_distance(g, u, v) for u in vs for v in vs}
+        dist = {(u, v): shortest_path(g, u, v).length for u in vs for v in vs}
         for u in vs:
             for v in vs:
                 assert dist[u, v] == dist[v, u]

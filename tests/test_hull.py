@@ -70,7 +70,7 @@ def test_segment_interiors_have_degree_two():
         if d.is_empty:
             continue
         for s in d.segments:
-            for v in s.path.vertices()[1:-1]:
+            for v in map(s.path.graph.step_head, s.path.steps[:-1]):
                 assert vertex_degree(d.core, v) == 2
             if not d.branch_points:
                 continue

@@ -63,6 +63,12 @@ def test_budget_env_override(monkeypatch, theta):
         enumerate_cyclic_loops(theta, 6)
     monkeypatch.setenv("MLS_BUDGET", "1000000")
     assert enumerate_cyclic_loops(theta, 4)
+    monkeypatch.setenv("MLS_BUDGET", "0")
+    with pytest.raises(BudgetExceededError, match="budget of 0 steps"):
+        enumerate_cyclic_loops(theta, 1)
+    monkeypatch.setenv("MLS_BUDGET", "1e3")
+    with pytest.raises(BudgetExceededError, match="must be a count in ASCII digits, not '1e3'"):
+        enumerate_cyclic_loops(theta, 4)
 
 
 def test_no_walk_has_zero_steps(theta):

@@ -2,14 +2,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsgraph import (CyclicPath, EdgePath, MetricGraph, PathError, concat_reduce, cyclic_equal,
-                      cyclic_equal_unoriented, cyclically_reduce, format_path, is_reduced,
-                      parse_path, path_length, path_loop_path_normal_form, random_graph,
-                      reduce_path, shortest_path, spanning_tree)
-from mlsgraph.fungroup import word_cyclic_core
+from mlsgraph import (CyclicPath, EdgePath, MetricGraph, PathError, concat_reduce,
+                      cyclically_reduce, format_path, is_reduced, parse_path, random_graph,
+                      reduce_path, shortest_path)
 from mlsgraph.graphs import DirectedEdge, GraphError
 from mlsgraph.paths import (chain_traversals, cyclic_reduce_based, least_rotation,
                             least_rotation_start, map_chains)
@@ -118,7 +116,7 @@ def test_reduce_fixed_point(theta):
 
 def test_reduce_length_non_increasing(theta):
     p = P(theta, "e0 e1^-1 e1 e0^-1 e2")
-    assert path_length(reduce_path(p)) <= path_length(p)
+    assert reduce_path(p).length <= p.length
     assert reduce_path(p).support() <= p.support()
 
 
@@ -141,9 +139,8 @@ def test_cyclically_reduce_theta_example(theta):
     loop = P(theta, "e0^-1 e2 e1^-1 e0", at=1)
     core, conjugator = cyclically_reduce(loop)
     assert format_path(conjugator) == "e0^-1"
-    assert core is not None and path_length(core) == 5
-    assert cyclic_equal(core, CyclicPath.from_steps(
-        theta, P(theta, "e2 e1^-1").steps))
+    assert core is not None and core.length == 5
+    assert core == CyclicPath.from_steps(theta, P(theta, "e2 e1^-1").steps)
 
 
 def test_cyclically_reduce_nullhomotopic(theta):
@@ -168,7 +165,7 @@ def test_cyclic_reduce_roundtrip(theta, dumbbell):
             based, conjugator = cyclic_reduce_based(loop)
             rebuilt = conjugator.then(based).then(conjugator.reverse())
             assert reduce_path(rebuilt) == reduce_path(loop)
-            assert path_length(based) <= path_length(reduce_path(loop))
+            assert based.length <= reduce_path(loop).length
 
 
 def test_cyclically_reduce_rejects_open_path(theta):
@@ -196,39 +193,8 @@ def test_cyclic_path_reads_length_and_support_as_edge_path(theta):
     assert (CyclicPath.length, CyclicPath.support) == (EdgePath.length, EdgePath.support)
     assert (cyc.length, cyc.support(), len(cyc)) == (loop.length, loop.support(), 4)
     assert cyc.steps == P(theta, "e0 e1^-1 e2 e1^-1").steps
-    assert cyc.reverse() == CyclicPath.from_steps(theta, loop.reverse().steps)
-
-
-def _based_at_by_definition(loop, vertex):
-    """The least rotation of the loop's steps from `vertex`, every rotation
-    built; None when the loop does not pass through `vertex`."""
-    steps = loop.steps
-    starts = [i for i, s in enumerate(steps) if loop.graph.step_tail(s) == vertex]
-    return min((steps[i:] + steps[:i] for i in starts), default=None)
-
-
-@given(st.integers(0, 10_000), st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)),
-                                        min_size=1, max_size=8), st.integers(1, 3))
-@settings(max_examples=150, deadline=None)
-def test_based_at_matches_its_definition(seed, letters, power):
-    """Cores of random words, and their powers (periodic loops), based at
-    every vertex: small graphs make the loops pass some vertices several
-    times, and a pendant vertex is on no loop."""
-    g = random_graph(seed, 1 + seed % 4, 3 + seed % 3, 5)
-    rows = [(eid, rec.u, rec.v, rec.length) for eid, rec in g.edges_sorted()]
-    pendant = len(g.vertex_ids)
-    g = MetricGraph(range(pendant + 1), rows + [(len(rows), 0, pendant, 1)])
-    core = word_cyclic_core(spanning_tree(g), tuple(letters))
-    assume(core is not None)
-    loop = CyclicPath.from_steps(g, core.steps * power)
-    for v in sorted(g.vertex_ids):
-        want = _based_at_by_definition(loop, v)
-        if want is None:
-            with pytest.raises(PathError, match=f"does not pass through vertex {v}"):
-                loop.based_at(v)
-        else:
-            based = loop.based_at(v)
-            assert (based.start, based.steps) == (v, want)
+    assert CyclicPath.from_steps(theta, loop.reverse().steps).steps == \
+        P(theta, "e0^-1 e1 e2^-1 e1", at=1).steps
 
 
 # -- concatenation decomposition -----------------------------------------
@@ -291,56 +257,26 @@ def test_multiple_concat_stays_reduced():
             assert is_reduced(total)
 
 
-# -- path-loop-path -------------------------------------------------------
-
-def test_plp_empty_conjugator(theta):
-    loop = CyclicPath.from_steps(theta, P(theta, "e0 e1^-1").steps)
-    out = path_loop_path_normal_form(EdgePath(theta, 0), loop)
-    assert out.start == 0 and not out.is_empty()
-
-
-def test_plp_theta(theta):
-    loop = CyclicPath.from_steps(theta, P(theta, "e0^-1 e1", at=1).steps)
-    out = path_loop_path_normal_form(P(theta, "e0"), loop)
-    assert 1 in out.vertices()
-    assert out.start == 0 and out.is_closed()
-
-
-def test_plp_dumbbell_begins_with_path(dumbbell):
-    loop = CyclicPath.from_steps(dumbbell, P(dumbbell, "e1", at=1).steps)
-    p = P(dumbbell, "e2")
-    out = path_loop_path_normal_form(p, loop)
-    assert format_path(out) == "e2 e1 e2^-1"
-    assert out.steps[: len(p.steps)] == p.steps or \
-        out.steps[-len(p.steps):] == p.reverse().steps
-
-
-def test_plp_requires_content(theta):
-    with pytest.raises(PathError):
-        path_loop_path_normal_form(P(theta, "e0"),
-                                   CyclicPath(theta, ()))
-
-
-# -- cyclic equality -------------------------------------------------------
+# -- cyclic equality: `from_steps` picks one rotation, keeps the orientation --
 
 def test_cyclic_equal_rotation(theta):
     a = CyclicPath.from_steps(theta, P(theta, "e2 e1^-1").steps)
     b = CyclicPath.from_steps(theta, P(theta, "e1^-1 e2", at=1).steps)
-    assert cyclic_equal(a, b)
+    assert a == b
 
 
 def test_cyclic_equal_orientation(theta):
     a = CyclicPath.from_steps(theta, P(theta, "e2 e1^-1").steps)
     b = CyclicPath.from_steps(theta, P(theta, "e1 e2^-1").steps)
-    assert not cyclic_equal(a, b)
-    assert cyclic_equal_unoriented(a, b)
+    assert a != b
+    assert a == CyclicPath.from_steps(theta, P(theta, "e1 e2^-1").reverse().steps)
 
 
 def test_cyclic_equal_different_support(theta):
     a = CyclicPath.from_steps(theta, P(theta, "e2 e1^-1").steps)
     b = CyclicPath.from_steps(theta, P(theta, "e2 e0^-1").steps)
-    assert not cyclic_equal(a, b)
-    assert not cyclic_equal_unoriented(a, b)
+    assert a != b
+    assert a != CyclicPath.from_steps(theta, P(theta, "e2 e0^-1").reverse().steps)
 
 
 # -- shortest paths ---------------------------------------------------------
@@ -348,12 +284,12 @@ def test_cyclic_equal_different_support(theta):
 def test_shortest_path_theta(theta):
     p = shortest_path(theta, 0, 1)
     assert format_path(p) == "e0"
-    assert path_length(p) == 1
+    assert p.length == 1
 
 
 def test_shortest_path_identity(theta):
     p = shortest_path(theta, 1, 1)
-    assert p.is_empty() and path_length(p) == 0
+    assert p.is_empty() and p.length == 0
 
 
 def test_shortest_path_dumbbell(dumbbell):
@@ -369,12 +305,10 @@ def test_shortest_path_is_reduced_and_lex_least():
 
 
 def test_shortest_path_deterministic_on_ties():
-    # Two parallel edges of equal length: the least edge id wins.
-    g = random_graph(1, 2, 0, 5)
-    eid = next(iter(g.edge_ids))
-    from mlsgraph import MetricGraph
-    g2 = MetricGraph([0, 1], [(0, 0, 1, 2), (1, 0, 1, 2)])
-    assert format_path(shortest_path(g2, 0, 1)) == "e0"
+    # Two parallel edges of equal length: the least edge id wins, both ways.
+    g = MetricGraph([0, 1], [(0, 0, 1, 2), (1, 0, 1, 2)])
+    assert format_path(shortest_path(g, 0, 1)) == "e0"
+    assert format_path(shortest_path(g, 1, 0)) == "e0^-1"
 
 
 # -- chain traversals ----------------------------------------------------

@@ -8,7 +8,8 @@ differential tests hold it to these.  Do not update them to follow the
 library.
 """
 
-from mlsgraph.fungroup import canonical_cyclic_word, enumerate_reduced_words, marked_length
+from helpers import canonical_cyclic_word
+from mlsgraph.fungroup import enumerate_reduced_words, marked_length
 
 
 def reference_enumerate_reduced_words(rank, max_len):

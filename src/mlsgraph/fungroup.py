@@ -12,7 +12,7 @@ cyclically reduced loop in its free homotopy class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -145,13 +145,16 @@ def _tree_parents(g: MetricGraph, root: int, edges: frozenset[int]) -> dict:
 class Basis:
     """Spanning tree plus ordered non-tree generators and a basepoint; builds
     reduced `tree_path`s and `generator_loop`s (tree out, generator k, tree back).
-    The tree's parent links are built with the basis; generator k's loop at
-    the basepoint (`_gen_block`) is built the first time a word uses k."""
+    The tree's parent links are built with the basis, or handed over as
+    `_links` by `spanning_tree`, whose search over every edge finds the same
+    ones; generator k's loop at the basepoint (`_gen_block`) is built the
+    first time a word uses k."""
 
     graph: MetricGraph
     tree_edges: frozenset[int]
     generators: tuple[int, ...]
     basepoint: int
+    _links: InitVar[dict | None] = None
     _parent: dict[int, tuple[int, DirectedEdge] | None] = field(
         init=False, repr=False, compare=False)
     _gen_blocks: dict[int, tuple[DirectedEdge, ...]] = field(
@@ -162,8 +165,9 @@ class Basis:
     def rank(self) -> int:
         return len(self.generators)
 
-    def __post_init__(self) -> None:
-        parent = _tree_parents(self.graph, self.basepoint, self.tree_edges)
+    def __post_init__(self, _links: dict | None) -> None:
+        parent = (_tree_parents(self.graph, self.basepoint, self.tree_edges)
+                  if _links is None else _links)
         if parent.keys() != self.graph.vertex_ids:
             raise GraphError("tree edges do not span the graph")
         object.__setattr__(self, "_parent", parent)
@@ -190,7 +194,7 @@ class Basis:
 
     def tree_path(self, a: int, b: int) -> EdgePath:
         """The unique reduced path from a to b inside the spanning tree."""
-        return EdgePath(self.graph, a, self._tree_steps(a, b))
+        return EdgePath._chained(self.graph, a, self._tree_steps(a, b))
 
     def _loop_steps(self, k: int, at: int) -> tuple[DirectedEdge, ...]:
         if not 0 < abs(k) <= self.rank:
@@ -212,7 +216,7 @@ class Basis:
         """Tree path from `at` to generator k's tail (k < 0: its reverse), the
         generator, the tree path back; reduced, as a non-tree edge cancels
         against no tree step."""
-        return EdgePath(self.graph, at, self._loop_steps(k, at))
+        return EdgePath._chained(self.graph, at, self._loop_steps(k, at))
 
 
 def spanning_tree(g: MetricGraph) -> Basis:
@@ -226,7 +230,7 @@ def spanning_tree(g: MetricGraph) -> Basis:
     if parent.keys() != g.vertex_ids:
         raise GraphError("disconnected")
     tree = frozenset(link[1].edge for link in parent.values() if link is not None)
-    return Basis(g, tree, tuple(sorted(g.edge_ids - tree)), basepoint)
+    return Basis(g, tree, tuple(sorted(g.edge_ids - tree)), basepoint, parent)
 
 
 # -- words <-> loops --------------------------------------------------
@@ -250,7 +254,7 @@ def word_to_loop(basis: Basis, w: Word) -> EdgePath:
             k += 1
         del steps[n - k:]
         steps += block[k:]
-    return EdgePath(basis.graph, basis.basepoint, tuple(steps))
+    return EdgePath._chained(basis.graph, basis.basepoint, tuple(steps))
 
 
 def loop_to_word(basis: Basis, loop: EdgePath) -> Word:

@@ -159,8 +159,8 @@ def _canonical_arc(core: MetricGraph, start: int, steps: list) -> EdgePath:
     forward = tuple(steps)
     backward = _reversed_steps(forward)
     if forward <= backward:
-        return EdgePath(core, start, forward)
-    return EdgePath(core, core.step_head(forward[-1]), backward)
+        return EdgePath._chained(core, start, forward)
+    return EdgePath._chained(core, core.step_head(forward[-1]), backward)
 
 
 def _segments(core: MetricGraph, branch: frozenset[int]) -> tuple[Segment, ...]:

@@ -114,7 +114,10 @@ def covering_loop_depth(g: MetricGraph, edge_ids) -> int:
 
     One search per given edge, from its forward step: reversing a loop
     through e and rotating it gives a loop of the same length that starts
-    with e^-1, so the reverse step's search finds nothing shorter."""
+    with e^-1, so the reverse step's search finds nothing shorter.  For the
+    same reason an edge that an earlier search's loop crosses, either way,
+    needs no search: its own shortest loop is no longer than that one, which
+    is already in the maximum."""
     codes, head, tail, succ = _transition_tables(g)
     wanted = set(edge_ids)
     depth = 0
@@ -124,22 +127,26 @@ def covering_loop_depth(g: MetricGraph, edge_ids) -> int:
         # shortest closed non-backtracking walk starting with `start`; the
         # wraparound condition is the transition constraint back into it.
         target = tail[start]
-        dist = {start: 1}
+        parent = {start: None}
         frontier = [start]
-        shortest = None
-        while frontier and shortest is None:
+        last = None
+        while frontier and last is None:
             nxt = []
             for c in frontier:
                 if head[c] == target and start in succ[c]:
-                    shortest = dist[c]
+                    last = c
                     break
                 for s in succ[c]:
-                    if s not in dist:
-                        dist[s] = dist[c] + 1
+                    if s not in parent:
+                        parent[s] = c
                         nxt.append(s)
             frontier = nxt
-        if shortest is not None:
-            depth = max(depth, shortest)
+        walk = 0
+        while last is not None:
+            wanted.discard(last >> 1)
+            walk += 1
+            last = parent[last]
+        depth = max(depth, walk)
     return depth
 
 

@@ -11,6 +11,18 @@ every canonical form (cyclic paths and the oracle's loops) and the spectrum
 sweep's and table's choice of one word per class.
 
 Concatenation helpers take their arguments in traversal order throughout.
+
+`EdgePath(...)` walks its steps to check that they chain; `EdgePath._chained`
+skips the walk where they are known to: slices of a checked loop's reduced
+steps (`cyclic_reduce_based`; cancelling `s s^-1` keeps a chain a chain),
+reversed steps (`reverse`), the graph's shortest-path table and tree links
+(`shortest_path`, `Basis.tree_path`, `Basis.generator_loop`), closed
+generator blocks joined after cancelling at each junction (`word_to_loop`),
+an arc traced along the core's adjacency (`hull._canonical_arc`), a path
+then a route of non-backtracking steps from its end back to its start
+(`distinguishing_pair`), and a wrap-around slice of a closed loop
+(`transport_path`).  Input paths (`parse_path`) and maps whose chaining is
+the check (an induced image, a disguise's relabelling) take the walk.
 """
 
 from __future__ import annotations
@@ -50,6 +62,16 @@ class EdgePath:
                 raise PathError(f"steps do not chain at vertex {at} ({step})")
             at = u if rev else v
 
+    @classmethod
+    def _chained(cls, graph: MetricGraph, start: int,
+                 steps: tuple[DirectedEdge, ...]) -> "EdgePath":
+        """The path of steps already known to chain from `start`, without
+        `__post_init__`'s walk (see the module docstring)."""
+        p = object.__new__(cls)
+        fields = p.__dict__
+        fields["graph"], fields["start"], fields["steps"] = graph, start, steps
+        return p
+
     @property
     def end(self) -> int:
         if not self.steps:
@@ -68,7 +90,7 @@ class EdgePath:
         return self.end == self.start
 
     def reverse(self) -> "EdgePath":
-        return EdgePath(self.graph, self.end, _reversed_steps(self.steps))
+        return EdgePath._chained(self.graph, self.end, _reversed_steps(self.steps))
 
     def then(self, other: "EdgePath") -> "EdgePath":
         """Concatenation in traversal order: self first, then other."""
@@ -198,8 +220,8 @@ def cyclic_reduce_based(loop: EdgePath) -> tuple[EdgePath, EdgePath]:
     while j - i >= 2 and steps[j - 1].edge == steps[i].edge and steps[j - 1].rev != steps[i].rev:
         i += 1
         j -= 1
-    conjugator = EdgePath(loop.graph, loop.start, tuple(steps[:i]))
-    core = EdgePath(loop.graph, conjugator.end, tuple(steps[i:j]))
+    conjugator = EdgePath._chained(loop.graph, loop.start, tuple(steps[:i]))
+    core = EdgePath._chained(loop.graph, conjugator.end, tuple(steps[i:j]))
     return core, conjugator
 
 
@@ -294,7 +316,7 @@ def shortest_path(g: MetricGraph, u: int, v: int) -> EdgePath:
     steps = g.shortest_steps(u).get(v)
     if steps is None:
         raise GraphError(f"vertex {v} is unreachable from {u}")
-    return EdgePath(g, u, steps)
+    return EdgePath._chained(g, u, steps)
 
 
 # -- literals ---------------------------------------------------------

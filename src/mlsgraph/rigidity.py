@@ -188,7 +188,8 @@ def distinguishing_pair(core: CoreDecomposition, p: EdgePath, basis: Basis,
     """Construct a distinguishing pair for a path in the core.
 
     `p` must be reduced, supported in the core, and either join two branch
-    points or be a cyclically reduced loop segment based at one.  Extension
+    points or be a cyclically reduced loop segment based at one.  The loops
+    are built on `basis.graph`, which must be `core.graph`.  Extension
     steps are chosen deterministically (least directed edge first); `variant`
     selects later constructions for independence tests.
 
@@ -227,7 +228,7 @@ def distinguishing_pair(core: CoreDecomposition, p: EdgePath, basis: Basis,
     if candidate is None:
         raise RigidityError("no-distinguishing-pair",
                             f"no verified pair for path {format_path(p)} (variant {variant})")
-    gamma1, gamma2 = (EdgePath(basis.graph, p.start, steps) for steps in candidate[:2])
+    gamma1, gamma2 = (EdgePath._chained(basis.graph, p.start, steps) for steps in candidate[:2])
     return DistinguishedPair(p, gamma1, gamma2, loop_class_word(basis, gamma1),
                              loop_class_word(basis, gamma2), frame=candidate[2])
 
@@ -242,9 +243,12 @@ def recovered_length(l2, hom: Hom, pair: DistinguishedPair) -> Fraction:
 
 # -- transporting distinguished paths -----------------------------------
 
-def _check_spectrum(w: Word, expected: Fraction, got: Fraction) -> None:
-    if got != expected:
-        raise SpectrumMismatchError(w, expected, got)
+def _check_spectrum(w: Word, n1: int, d1: int, n2: int, d2: int) -> None:
+    """Raise SpectrumMismatchError unless l1 = n1/d1 equals l2 = n2/d2, by
+    cross-multiplication: the sweep passes each exact length's ratio, and
+    `transport_path` lengths scaled to ints by each graph's length scale."""
+    if n1 * d2 != n2 * d1:
+        raise SpectrumMismatchError(w, Fraction(n1, d1), Fraction(n2, d2))
 
 
 def _common_run(a, b) -> int:
@@ -270,10 +274,12 @@ def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
     reduced cores of loop1, loop2 and loop1^-1 loop2 (the cross word's loop).
     Both image loops are reduced, so the cross loop reduces to
     rev(loop1[k:]) loop2[k:], for k the length of their common prefix, and
-    only its ends can still cancel.  The pair's lengths are read once, as
-    scaled ints, and the image path's is compared by cross-multiplication.
+    only its ends can still cancel.  All four lengths are read as scaled
+    ints and compared by cross-multiplication; a `Fraction` is built only
+    for a failure's message.
     """
     g2 = basis2.graph
+    scaled2 = g2._scaled
     scale1, scale2 = pair.path.graph.length_scale, g2.length_scale
     n_path, n1, n2, n_cross = pair.scaled_lengths()
     loops, based, conj = [], [], []
@@ -281,7 +287,7 @@ def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
         loop = word_to_loop(basis2, apply_hom(hom, w))
         b, c = cyclic_reduce_based(loop)
         loops.append(loop.steps)
-        _check_spectrum(w, Fraction(n, scale1), b.length)
+        _check_spectrum(w, n, scale1, sum(scaled2[e] for e, _ in b.steps), scale2)
         based.append(b)
         conj.append(c)
     k = _common_run(*loops)
@@ -290,8 +296,8 @@ def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
     while j - i >= 2 and cross[j - 1] == cross[i].reverse():
         i += 1
         j -= 1
-    _check_spectrum(pair.cross_word, Fraction(n_cross, scale1),
-                    Fraction(sum(g2._scaled[e] for e, _ in cross[i:j]), scale2))
+    _check_spectrum(pair.cross_word, n_cross, scale1,
+                    sum(scaled2[e] for e, _ in cross[i:j]), scale2)
 
     long_i = 0 if len(conj[0].steps) >= len(conj[1].steps) else 1
     short_i = 1 - long_i
@@ -313,8 +319,8 @@ def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
     a, b = anchor.steps, rot
     m, n = _common_run(a, b), _common_run(a[::-1], b[::-1])
     nu_steps = a[len(a) - n:] + a[:m]
-    nu = EdgePath(g2, g2.step_tail(nu_steps[0]) if n else q, nu_steps)
-    if sum(g2._scaled[e] for e, _ in nu_steps) * scale1 != n_path * scale2:
+    nu = EdgePath._chained(g2, g2.step_tail(nu_steps[0]) if n else q, nu_steps)
+    if sum(scaled2[e] for e, _ in nu_steps) * scale1 != n_path * scale2:
         raise RigidityError(
             "claim2-length",
             f"common subpath has length {nu.length}, expected {pair.path_length}")
@@ -597,7 +603,8 @@ def _spectrum_sweep(basis1: Basis, basis2: Basis, hom: Hom, max_len: int,
     """
     classes = filter(_first_of_class, enumerate_reduced_words(basis1.rank, max_len))
     for w in islice(classes, start, stop):
-        _check_spectrum(w, marked_length(basis1, w), marked_length(basis2, apply_hom(hom, w)))
+        _check_spectrum(w, *marked_length(basis1, w).as_integer_ratio(),
+                        *marked_length(basis2, apply_hom(hom, w)).as_integer_ratio())
 
 
 def reconstruct(g1: MetricGraph, g2: MetricGraph, hom: Hom,

@@ -13,6 +13,10 @@
   usage error between them, print the same bytes and exit codes.
 - `disguise` builds its graph in one construction and relabels it in one
   more, whatever the number of edges it cuts.
+- `spanning_tree` searches its tree once and hands the links to `Basis`:
+  they must equal the links a directly built `Basis` finds.
+- A rank-16 verdict walks few paths' chains, as paths derived from checked
+  ones skip the walk, and `transport_path` builds no `Fraction` on an ACCEPT.
 """
 
 import contextlib
@@ -28,13 +32,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from segments_reference import reference_segments
 
-from mlsgraph import (GraphError, MetricGraph, compute_core, disguise, random_graph,
-                      spanning_tree)
-from mlsgraph import cli
+from mlsgraph import (Basis, GraphError, MetricGraph, compute_core, disguise,
+                      distinguishing_pair, random_graph, spanning_tree, transport_path)
+from mlsgraph import cli, fungroup
 from mlsgraph.fungroup import write_hom
 from mlsgraph.graphs import DirectedEdge, require_valid, write_graph
 from mlsgraph.hull import _segments
-from mlsgraph.paths import reduce_steps
+from mlsgraph.paths import EdgePath, reduce_steps
 from mlsgraph.rigidity import reconstruct
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -216,3 +220,84 @@ def test_parser_is_not_built_at_import():
     done = subprocess.run([sys.executable, "-B", "-c", code], env={"PYTHONPATH": str(SRC)},
                           timeout=60)
     assert done.returncode == 0
+
+
+def test_spanning_tree_searches_once(monkeypatch):
+    searches = []
+    tree_parents = fungroup._tree_parents
+
+    def counting(*args):
+        searches.append(args[0])
+        return tree_parents(*args)
+
+    graphs = _cores()
+    monkeypatch.setattr(fungroup, "_tree_parents", counting)
+    for g in graphs:
+        basis = spanning_tree(g)
+        assert searches == [g]
+        searches.clear()
+        assert Basis(g, basis.tree_edges, basis.generators, basis.basepoint) == basis
+        assert searches == [g]
+        searches.clear()
+    g = MetricGraph([0, 1, 2], [(0, 0, 1, 1), (1, 1, 2, 1), (2, 2, 0, 1)])
+    with pytest.raises(GraphError, match="tree edges do not span the graph"):
+        Basis(g, frozenset({0}), (1, 2), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), vertices=st.integers(1, 8),
+       extra=st.integers(0, 5), pendant=st.booleans())
+def test_handed_links_equal_the_tree_search(seed, vertices, extra, pendant):
+    # Self-loops and parallel edges come from `random_graph`; a disguise
+    # adds pendant trees and subdivisions.
+    g = random_graph(seed, vertices, extra, 5)
+    if pendant and extra:
+        g = disguise(g, seed).graph
+    basis = spanning_tree(g)
+    direct = Basis(g, basis.tree_edges, basis.generators, basis.basepoint)
+    assert basis._parent == direct._parent
+
+
+def _rank16_pair(seed):
+    g = random_graph(seed, 14, 16, 10)
+    return g, disguise(g, seed + 100)
+
+
+@pytest.mark.parametrize("sweep_len", [0, 4])
+def test_a_rank16_verdict_walks_few_chains(monkeypatch, sweep_len):
+    walks = []
+    post_init = EdgePath.__post_init__
+
+    def counting(self):
+        walks.append(self)
+        post_init(self)
+
+    for seed in (1, 2):
+        g, inst = _rank16_pair(seed)
+        with monkeypatch.context() as mp:
+            mp.setattr(EdgePath, "__post_init__", counting)
+            result = reconstruct(g, inst.graph, inst.hom, sweep_len=sweep_len)
+        assert result.report().endswith("verdict ACCEPT\n")
+        assert 0 < len(walks) <= 20
+        walks.clear()
+
+
+def test_transport_builds_no_fraction_on_accept(monkeypatch):
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    for seed in (1, 2):
+        g, inst = _rank16_pair(seed)
+        core1, core2 = compute_core(g), compute_core(inst.graph)
+        pairs = [distinguishing_pair(core1, seg.path, inst.hom.source) for seg in core1.segments]
+        with monkeypatch.context() as mp:
+            mp.setattr(Fraction, "__new__", counting)
+            images = [transport_path(core2, inst.hom.target, inst.hom, pair) for pair in pairs]
+            assert built == []
+            assert [nu.length for nu in images] == [pair.path_length for pair in pairs]
+            assert len(built) >= len(pairs)  # the counter counts
+        built.clear()

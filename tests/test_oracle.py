@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from loop_enum_reference import reference_transition_tables
 from test_graphs import shuffled_multigraphs
 
@@ -7,9 +8,10 @@ from mlsgraph import (BudgetExceededError, Hom, MetricGraph, brute_force_isometr
                       compute_core, disguise, enumerate_cyclic_loops, format_path,
                       random_graph, spanning_tree, spectra_agree_up_to)
 from mlsgraph.fungroup import identity_hom, marked_length
-from mlsgraph.graphs import GraphError
+from mlsgraph.graphs import DirectedEdge, GraphError
 from mlsgraph.hull import core_equals_loop_union
-from mlsgraph.oracle import _build_transition_tables, _enumerate_loop_codes
+from mlsgraph.oracle import (_build_transition_tables, _enumerate_loop_codes, _transition_tables,
+                             covering_loop_depth)
 
 
 def test_enumerate_theta_two_edges(theta):
@@ -290,3 +292,62 @@ def test_covering_depth_matches_search_from_every_step():
                          rng.sample(edges, rng.randint(0, len(edges))), [len(edges) + 7]):
             assert covering_loop_depth(g, edge_ids) == \
                 _covering_loop_depth_all_starts(g, edge_ids), (g, edge_ids)
+
+
+def _naive_covering_depth(g, edge_ids):
+    """Per requested edge on the adjacency, the fewest steps of a closed
+    walk that starts along the edge, either way, and never steps straight
+    back, also from its last step to its first; the max of these, or 0."""
+    on_adjacency = {s.edge for v in g.vertex_ids for s in g.out_steps(v)}
+    depth = 0
+    for e in set(edge_ids) & on_adjacency:
+        lengths = []
+        for first in (DirectedEdge(e, False), DirectedEdge(e, True)):
+            layer, n = {first}, 1
+            while layer and n <= 2 * len(on_adjacency):
+                if any(first in g.next_steps(s) for s in layer):
+                    lengths.append(n)
+                    break
+                layer = {t for s in layer for t in g.next_steps(s)}
+                n += 1
+        if lengths:
+            depth = max(depth, min(lengths))
+    return depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_multigraphs(), st.data())
+def test_covering_depth_matches_the_naive_per_edge_maximum(g, data):
+    edges = sorted(g.edge_ids)
+    wanted = data.draw(st.one_of(st.just(edges), st.lists(st.sampled_from(edges + [11]))))
+    assert covering_loop_depth(g, wanted) == _naive_covering_depth(g, wanted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), vertices=st.integers(1, 6), extra=st.integers(1, 4))
+def test_covering_depth_matches_the_naive_maximum_on_disguises(seed, vertices, extra):
+    # A disguise adds pendant trees and subdivided edges.
+    g = random_graph(seed, vertices, extra, 5)
+    for graph in (g, disguise(g, seed).graph):
+        for wanted in (graph.edge_ids, compute_core(graph).core.edge_ids):
+            assert covering_loop_depth(graph, wanted) == _naive_covering_depth(graph, wanted)
+
+
+class _CountingTail(dict):
+    """A tail table that counts its reads: a search reads its start's tail once."""
+
+    reads = 0
+
+    def __getitem__(self, code):
+        self.reads += 1
+        return super().__getitem__(code)
+
+
+def test_covering_depth_searches_the_circle_once():
+    n = 1200
+    circle = MetricGraph(range(n), [(i, i, (i + 1) % n, 1) for i in range(n)])
+    codes, head, tail, succ = _transition_tables(circle)
+    counting = _CountingTail(tail)
+    circle._transitions = (codes, head, counting, succ)
+    assert covering_loop_depth(circle, circle.edge_ids) == n
+    assert counting.reads == 1

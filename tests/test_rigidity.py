@@ -137,8 +137,9 @@ def test_transport_pair_independence(pendant_theta):
        perturbed=st.booleans())
 def test_transport_reads_the_target_spectrum(seed, vertices, extra, perturbed):
     # Transport reads l2 of word1, word2 and the cross word off the image
-    # loops it builds; each must equal the target's `marked_length`, also on
-    # a c08-style negative, where a read may end in a mismatch.
+    # loops it builds, as ints scaled by the target's length scale; each
+    # must equal the target's `marked_length`, also on a c08-style negative,
+    # where a read may end in a mismatch.
     g = random_graph(seed, vertices, extra, 5)
     inst = disguise(g, seed + 1)
     g2, hom = c08_negative(g, inst, seed) if perturbed else (inst.graph, inst.hom)
@@ -146,9 +147,10 @@ def test_transport_reads_the_target_spectrum(seed, vertices, extra, perturbed):
     read = []
     real = rigidity._check_spectrum
 
-    def recording(w, expected, got):
-        read.append((w, got))
-        real(w, expected, got)
+    def recording(w, n1, scale1, n2, scale2):
+        assert (scale1, scale2) == (g.length_scale, g2.length_scale)
+        read.append((w, Fraction(n2, scale2)))
+        real(w, n1, scale1, n2, scale2)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rigidity, "_check_spectrum", recording)

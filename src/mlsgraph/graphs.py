@@ -58,6 +58,15 @@ def parse_length(text: str) -> Fraction:
     return value
 
 
+def _exact(value: Fraction | int | str, what: str) -> Fraction:
+    """A length or cut position as a `Fraction`; a float is refused as inexact."""
+    if isinstance(value, float):
+        raise GraphError(f"{what} are not exact; pass a Fraction, an int, or a literal string")
+    if isinstance(value, str):
+        return parse_length(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def parse_index(text: str) -> int:
     """An id or index written in ASCII digits only.  `int` also reads a sign,
     `_` between digits and the digits of other scripts; this raises
@@ -93,6 +102,11 @@ class DirectedEdge(NamedTuple):
         return f"e{self.edge}^-1" if self.rev else f"e{self.edge}"
 
 
+def _decode(code: int) -> DirectedEdge:
+    """The step of a step-table code `2 * edge + rev`, built by `tuple.__new__`."""
+    return tuple.__new__(DirectedEdge, (code >> 1, (code & 1) == 1))
+
+
 class EdgeRecord(NamedTuple):
     u: int
     v: int
@@ -109,15 +123,13 @@ class MetricGraph:
     them (`write_graph` would write a `bool` as `True`).
     """
 
-    # Built once per graph, on first use, by `is_connected`, by
-    # `hull.compute_core` and `hull.CoreDecomposition` (the parts of the
-    # decomposition, not the decomposition: it holds the graph) and by
-    # `oracle._transition_tables` (from `_adj`); class defaults, so construction pays nothing.
+    # Built once per graph, on first use, by `is_connected` and by `hull`'s
+    # `compute_core` and `CoreDecomposition` (its parts; the decomposition
+    # holds the graph), as `_step_table` is; so construction pays nothing.
     _connected: bool | None = None
     _core_parts: tuple | None = None
     _segments: tuple | None = None
     _complement: tuple | None = None
-    _transitions: tuple | None = None
 
     def __init__(
         self,
@@ -141,14 +153,9 @@ class MetricGraph:
                     f"edge {eid}: endpoints must be integer vertex ids, got {u!r} and {v!r}")
             if eid in recs:
                 raise GraphError(f"duplicate edge id {eid}")
-            if isinstance(length, str):
-                length = parse_length(length)
-            if isinstance(length, float):
-                raise GraphError(
-                    f"edge {eid}: float lengths are not exact; pass a Fraction, "
-                    f"an int, or a literal string")
-            recs[eid] = EdgeRecord(u, v, length if isinstance(length, Fraction)
-                                   else Fraction(length))
+            if type(length) is not Fraction:
+                length = _exact(length, f"edge {eid}: float lengths")
+            recs[eid] = EdgeRecord(u, v, length)
         # Common denominator so path lengths can be summed as plain ints.
         scale = math.lcm(*(rec.length.denominator for rec in recs.values())) if recs else 1
         self._init_from(name, frozenset(vs), recs, scale,
@@ -169,7 +176,6 @@ class MetricGraph:
                 adj[u].append(tuple.__new__(DirectedEdge, (eid, False)))
                 adj[v].append(tuple.__new__(DirectedEdge, (eid, True)))
         self._adj = {v: tuple(out) for v, out in adj.items()}
-        self._next: dict[DirectedEdge, tuple[DirectedEdge, ...]] = {}
         self._shortest: dict[int, dict[int, tuple[DirectedEdge, ...]]] = {}
         self._scale = scale
         self._scaled = scaled
@@ -205,12 +211,25 @@ class MetricGraph:
         except KeyError:
             raise GraphError(f"unknown vertex id {v}") from None
 
+    @cached_property
+    def _step_table(self) -> tuple[list[int], dict[int, int], dict[int, int], dict[int, tuple]]:
+        """Sorted codes `2 * edge + rev` of the adjacency's steps, each code's
+        head and tail, and its sorted non-backtracking successors (read-only)."""
+        head, tail, succ = {}, {}, {}
+        for v, out in self._adj.items():
+            codes = tuple([2 * e + r for e, r in out])
+            for i, o in enumerate(codes):  # `o ^ 1` enters v, then leaves by another code
+                tail[o] = head[o ^ 1] = v
+                succ[o ^ 1] = codes[:i] + codes[i + 1:]
+        return sorted(tail), head, tail, succ
+
     def next_steps(self, step: DirectedEdge) -> tuple[DirectedEdge, ...]:
-        """Steps that can follow `step` in a reduced path, sorted; cached."""
-        if step not in self._next:
-            back = step.reverse()
-            self._next[step] = tuple(s for s in self.out_steps(self.step_head(step)) if s != back)
-        return self._next[step]
+        """Steps that can follow `step` in a reduced path, sorted: decoded from the step table."""
+        try:
+            return tuple(map(_decode, self._step_table[3][2 * step[0] + step[1]]))
+        except KeyError:
+            self.step_head(step)  # GraphError on an unknown edge id
+            raise GraphError(f"edge {step[0]} has an endpoint that is not a vertex") from None
 
     def shortest_steps(self, u: int) -> dict[int, tuple[DirectedEdge, ...]]:
         """Steps of a shortest path from `u` to every vertex it reaches, the
@@ -366,7 +385,7 @@ def subdivide_edge(g: MetricGraph, eid: int, fractions: Iterable[Fraction]) -> M
     `fractions` are the interior cut positions, strictly increasing in (0,1);
     the total length is preserved exactly, so the result is isometric to `g`.
     """
-    cuts = [Fraction(f) for f in fractions]
+    cuts = [_exact(f, "float cut positions") for f in fractions]
     for a, b in zip(cuts, cuts[1:]):
         if not a < b:
             raise GraphError("subdivision fractions must be strictly increasing")

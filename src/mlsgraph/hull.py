@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import GraphError, MetricGraph, vertex_degree
-from .paths import EdgePath, _reversed_steps
+from .graphs import GraphError, MetricGraph, _decode, vertex_degree
+from .paths import EdgePath
 
 
 @dataclass(frozen=True)
@@ -154,35 +154,33 @@ def _complement_components(g: MetricGraph, core_v: set[int], core_e: set[int]):
     return tuple(out)
 
 
-def _canonical_arc(core: MetricGraph, start: int, steps: list) -> EdgePath:
-    """The arc or its reverse, whichever has the lesser step tuple."""
-    forward = tuple(steps)
-    backward = _reversed_steps(forward)
-    if forward <= backward:
-        return EdgePath._chained(core, start, forward)
-    return EdgePath._chained(core, core.step_head(forward[-1]), backward)
+def _canonical_arc(core: MetricGraph, start: int, walk: list[int]) -> EdgePath:
+    """The arc of step codes or its reverse, whichever is less (codes sort as steps do)."""
+    back = [c ^ 1 for c in reversed(walk)]
+    if walk <= back:
+        return EdgePath._chained(core, start, tuple(map(_decode, walk)))
+    return EdgePath._chained(core, core._step_table[1][walk[-1]], tuple(map(_decode, back)))
 
 
 def _segments(core: MetricGraph, branch: frozenset[int]) -> tuple[Segment, ...]:
     if not core.edge_ids:
         return ()
     # Arcs end at branch points, a circle's one arc at its least vertex.
-    # Each is traced once, from the first of its ends reached: the out-step
-    # back along its last edge would trace it again, reversed.
+    # Each is traced once along the step table, from the first of its ends
+    # reached: the out-step back along its last edge would trace it again.
     ends = branch or {min(core.vertex_ids)}
+    _, head, _, succ = core._step_table
     arcs = []
     traced: set[int] = set()
     for v in sorted(ends):
-        for first in core.out_steps(v):
-            if first.edge in traced:
+        for e, r in core.out_steps(v):
+            if e in traced:
                 continue
-            steps = [first]
-            at = core.step_head(first)
-            while at not in ends:
-                steps.append(core.next_steps(steps[-1])[0])  # interior degree is exactly 2
-                at = core.step_head(steps[-1])
-            traced.add(steps[-1].edge)
-            arcs.append(_canonical_arc(core, v, steps))
+            walk = [2 * e + r]
+            while head[walk[-1]] not in ends:
+                walk.append(succ[walk[-1]][0])  # interior degree is exactly 2
+            traced.add(walk[-1] >> 1)
+            arcs.append(_canonical_arc(core, v, walk))
     return tuple(Segment(p) for p in sorted(arcs, key=lambda p: p.steps))
 
 

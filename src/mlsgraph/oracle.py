@@ -12,7 +12,7 @@ import os
 from itertools import permutations
 
 from .fungroup import Basis, Hom, Word, apply_hom, enumerate_reduced_words, marked_length
-from .graphs import DirectedEdge, GraphError, MetricGraph, parse_index
+from .graphs import GraphError, MetricGraph, _decode, parse_index
 from .hull import compute_core
 from .paths import CyclicPath, least_rotation
 
@@ -34,35 +34,13 @@ def enumerate_cyclic_loops(g: MetricGraph, max_edges: int,
                            budget: int | None = None) -> list[CyclicPath]:
     """All cyclically reduced cyclic loops with at most `max_edges` edges.
 
-    Oriented classes, one canonical rotation each, in deterministic order:
-    the closed walks of `_enumerate_loop_codes`, each put in its least
-    rotation, without repeats.
+    Oriented classes, one canonical rotation each, by edge count and then
+    steps (codes sort as steps do): the closed walks of
+    `_enumerate_loop_codes`, each put in its least rotation, without repeats.
     """
     found = {least_rotation(walk) for walk in _enumerate_loop_codes(g, max_edges, budget)}
-    loops = [CyclicPath(g, tuple(DirectedEdge(c >> 1, bool(c & 1)) for c in codes))
-             for codes in found]
-    loops.sort(key=lambda c: (len(c.steps), c.steps))
-    return loops
-
-
-def _transition_tables(g: MetricGraph):
-    """Directed-edge codes (2*edge + reversed) in order, head and tail vertices
-    and non-backtracking successor lists; built once per graph, from `_adj`."""
-    if g._transitions is None:
-        g._transitions = _build_transition_tables(g)
-    return g._transitions
-
-
-def _build_transition_tables(g: MetricGraph):
-    head = {}
-    tail = {}
-    succ = {}
-    for v, out in g._adj.items():
-        codes = tuple([2 * e + r for e, r in out])
-        for i, o in enumerate(codes):  # `o` leaves v, `o ^ 1` enters v
-            tail[o] = head[o ^ 1] = v
-            succ[o ^ 1] = codes[:i] + codes[i + 1:]
-    return sorted(tail), head, tail, succ
+    return [CyclicPath(g, tuple(map(_decode, codes)))
+            for codes in sorted(found, key=lambda c: (len(c), c))]
 
 
 def _enumerate_loop_codes(g: MetricGraph, max_edges: int,
@@ -78,7 +56,7 @@ def _enumerate_loop_codes(g: MetricGraph, max_edges: int,
         return []
     limit = default_budget() if budget is None else budget
     used = 0
-    codes, head, tail, succ = _transition_tables(g)
+    codes, head, tail, succ = g._step_table
     found: list[tuple[int, ...]] = []
     for first in codes:
         base = tail[first]
@@ -118,7 +96,7 @@ def covering_loop_depth(g: MetricGraph, edge_ids) -> int:
     same reason an edge that an earlier search's loop crosses, either way,
     needs no search: its own shortest loop is no longer than that one, which
     is already in the maximum."""
-    codes, head, tail, succ = _transition_tables(g)
+    codes, head, tail, succ = g._step_table
     wanted = set(edge_ids)
     depth = 0
     for start in codes:

@@ -18,7 +18,7 @@ steps (`cyclic_reduce_based`; cancelling `s s^-1` keeps a chain a chain),
 reversed steps (`reverse`), the graph's shortest-path table and tree links
 (`shortest_path`, `Basis.tree_path`, `Basis.generator_loop`), closed
 generator blocks joined after cancelling at each junction (`word_to_loop`),
-an arc traced along the core's adjacency (`hull._canonical_arc`), a path
+an arc traced along the core's step table (`hull._canonical_arc`), a path
 then a route of non-backtracking steps from its end back to its start
 (`distinguishing_pair`), and a wrap-around slice of a closed loop
 (`transport_path`).  Input paths (`parse_path`) and maps whose chaining is
@@ -205,6 +205,14 @@ def reduce_path(p: EdgePath) -> EdgePath:
     return EdgePath(p.graph, p.start, tuple(reduce_steps(p.steps)))
 
 
+def _trimmed_ends(steps: Sequence[DirectedEdge]) -> tuple[int, int]:
+    """Bounds `i, j` of reduced steps' cyclic reduction `steps[i:j]`, by `edge` and `rev`."""
+    k, n = 0, len(steps)
+    while n - 2 * k >= 2 and steps[~k][0] == steps[k][0] and steps[~k][1] != steps[k][1]:
+        k += 1
+    return k, n - k
+
+
 def cyclic_reduce_based(loop: EdgePath) -> tuple[EdgePath, EdgePath]:
     """Split a based loop as conjugator + cyclically reduced core.
 
@@ -216,10 +224,7 @@ def cyclic_reduce_based(loop: EdgePath) -> tuple[EdgePath, EdgePath]:
     if not loop.is_closed():
         raise PathError("not a loop: endpoints differ")
     steps = reduce_steps(loop.steps)
-    i, j = 0, len(steps)
-    while j - i >= 2 and steps[j - 1].edge == steps[i].edge and steps[j - 1].rev != steps[i].rev:
-        i += 1
-        j -= 1
+    i, j = _trimmed_ends(steps)
     conjugator = EdgePath._chained(loop.graph, loop.start, tuple(steps[:i]))
     core = EdgePath._chained(loop.graph, conjugator.end, tuple(steps[i:j]))
     return core, conjugator

@@ -34,11 +34,11 @@ from typing import Iterator
 from .fungroup import (Basis, Hom, Word, apply_hom, concat_words, cyclic_reduce_word,
                        enumerate_reduced_words, format_word, invert_word, loop_class_word,
                        marked_length, word_to_loop)
-from .graphs import DirectedEdge, GraphError, MetricGraph, require_valid
+from .graphs import DirectedEdge, GraphError, MetricGraph, _decode, require_valid
 from .hull import CoreDecomposition, compute_core, is_circle
-from .paths import (EdgePath, PathError, _reversed_steps, cyclic_reduce_based, format_path,
-                    is_reduced, least_rotation, least_rotation_start, map_chains, reduce_steps,
-                    shortest_path)
+from .paths import (EdgePath, PathError, _reversed_steps, _trimmed_ends, cyclic_reduce_based,
+                    format_path, is_reduced, least_rotation, least_rotation_start, map_chains,
+                    reduce_steps, shortest_path)
 
 
 class RigidityError(ValueError):
@@ -123,29 +123,32 @@ def _frames(core: MetricGraph, firsts, lasts) -> Iterator[tuple]:
     order, where route is the least shortest reduced route from d to a; pairs
     that no route joins are left out.
 
-    The routes from d are read off one breadth-first tree of non-backtracking
-    steps, which maps every directed edge reached to the step before it.  As
-    every step costs 1 and successors come in sorted order, each state is
-    first reached along its lexicographically least shortest route.  The tree
-    is started only when a frame from d is asked for, and grown only until
-    the wanted a is reached or its queue is empty; BFS reaches states in a
-    fixed order, so a tree stopped early holds the same parent pointers."""
+    The routes from d are read off one breadth-first tree over the step
+    table's codes, which maps every code reached to the one before it; only
+    the routes yielded are decoded.  As every step costs 1 and successors
+    come in sorted order, each state is first reached along its
+    lexicographically least shortest route.  The tree is started only when a
+    frame from d is asked for, and grown only until the wanted a is reached
+    or its queue is empty; BFS reaches states in a fixed order, so a tree
+    stopped early holds the same parent pointers."""
+    succ = core._step_table[3]
+    lasts = [(a, 2 * a[0] + a[1]) for a in lasts]
     for d in firsts:
-        parent: dict[DirectedEdge, DirectedEdge | None] = {d: None}
-        queue = deque([d])
-        for a in lasts:
-            while a not in parent and queue:
+        queue = deque([2 * d[0] + d[1]])
+        parent: dict[int, int | None] = {queue[0]: None}
+        for a, code in lasts:
+            while code not in parent and queue:
                 state = queue.popleft()
-                for nxt in core.next_steps(state):
+                for nxt in succ[state]:
                     if nxt not in parent:
                         parent[nxt] = state
                         queue.append(nxt)
-            if a not in parent:
+            if code not in parent:
                 continue
-            route = [a]
+            route = [code]
             while parent[route[-1]] is not None:
                 route.append(parent[route[-1]])
-            yield d, a, tuple(reversed(route))
+            yield d, a, tuple(map(_decode, reversed(route)))
 
 
 def _pair_candidates(core: CoreDecomposition, p: EdgePath):
@@ -292,10 +295,7 @@ def transport_path(core2: CoreDecomposition, basis2: Basis, hom: Hom,
         conj.append(c)
     k = _common_run(*loops)
     cross = _reversed_steps(loops[0][k:]) + loops[1][k:]
-    i, j = 0, len(cross)
-    while j - i >= 2 and cross[j - 1] == cross[i].reverse():
-        i += 1
-        j -= 1
+    i, j = _trimmed_ends(cross)
     _check_spectrum(pair.cross_word, n_cross, scale1,
                     sum(scaled2[e] for e, _ in cross[i:j]), scale2)
 

@@ -1,11 +1,12 @@
-"""Each graph builds its core and its transition table once.
+"""Each graph builds its core and its step table once.
 
 `compute_core` keeps the parts of its decomposition on the graph and wraps
-them anew on each call; `oracle._transition_tables` keeps the table.  A
-core's segments and complement, and a basis's generator blocks, are built
-on first read and kept, so a verdict builds only what it reads.  A failure
-is not kept, and no memo holds the graph, so a graph is freed by reference
-counting alone.
+them anew on each call; `MetricGraph._step_table`, the successor codes that
+the oracle, the route trees and the segment tracer read, is built on first
+use and kept.  No construction builds a table.  A core's segments and
+complement, and a basis's generator blocks, are built on first read and
+kept, so a verdict builds only what it reads.  A failure is not kept, and no
+memo holds the graph, so a graph is freed by reference counting alone.
 """
 
 import contextlib
@@ -18,8 +19,9 @@ from helpers import disguise_instances
 from test_sweep_order import _rank12_negatives
 
 from mlsgraph import (GraphError, IsometryCertificate, MetricGraph, compute_core, disguise,
-                      random_graph, reconstruct, spanning_tree, word_to_loop)
-from mlsgraph import cli, fungroup, hull, oracle, rigidity
+                      random_graph, read_graph, reconstruct, spanning_tree, subdivide_edge,
+                      word_to_loop, write_graph)
+from mlsgraph import cli, fungroup, hull, rigidity
 from mlsgraph.hull import core_loop_union_agrees
 
 
@@ -34,6 +36,24 @@ def _counted(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _counted_tables(monkeypatch):
+    """Record the graph of every step table built."""
+    built = []
+    table = MetricGraph.__dict__["_step_table"]
+    build = table.func
+
+    def counting(g):
+        built.append(g)
+        return build(g)
+
+    monkeypatch.setattr(table, "func", counting)
+    return built
+
+
+def _has_table(g):
+    return "_step_table" in vars(g)
 
 
 def _pendant_theta(lengths=(1, 2, 3, 5)):
@@ -52,7 +72,7 @@ def test_second_call_wraps_the_same_parts():
 
 def test_union_check_builds_one_core_and_one_table(monkeypatch):
     decompositions = _counted(monkeypatch, hull, "_decompose")
-    tables = _counted(monkeypatch, oracle, "_build_transition_tables")
+    tables = _counted_tables(monkeypatch)
     for g in (_pendant_theta(), random_graph(7, 5, 3, 6), MetricGraph([0, 1], [(0, 0, 1, 1)])):
         decompositions.clear()
         tables.clear()
@@ -60,7 +80,7 @@ def test_union_check_builds_one_core_and_one_table(monkeypatch):
         assert core_loop_union_agrees(g)
         assert core_loop_union_agrees(g)
         assert [args[0] for args in decompositions] == [g]
-        assert [args[0] for args in tables] == [g]
+        assert tables == [g]
 
 
 def test_equal_ids_never_share_a_memo():
@@ -71,7 +91,7 @@ def test_equal_ids_never_share_a_memo():
     cores = [compute_core(g) for g in (base, longer, moved)]
     assert [d.core.total_length() for d in cores] == [6, 7, 6]
     assert [d.complement[0][1] for d in cores] == [1, 1, 2]
-    tables = [oracle._transition_tables(g) for g in (base, longer, moved)]
+    tables = [g._step_table for g in (base, longer, moved)]
     assert tables[0] == tables[1] and tables[0] is not tables[1]
     assert [t[1][6] for t in tables] == [1, 1, 2]  # head of edge 3
     for g in (base, longer, moved):
@@ -185,3 +205,43 @@ def test_each_part_is_built_once(monkeypatch):
     word_to_loop(basis, (-2, 1))
     assert basis._gen_block(1) is basis._gen_block(1)
     assert [k for _, k in blocks] == [1, -2]
+
+
+def test_no_construction_builds_a_step_table(monkeypatch):
+    built = _counted_tables(monkeypatch)
+    g = random_graph(5, 6, 4, 7)
+    inst = disguise(g, 5)
+    graphs = [g, inst.graph, compute_core(g).core, compute_core(inst.graph).core,
+              MetricGraph([0, 1], [(0, 0, 0, 1), (1, 0, 1, "3/2")]),
+              read_graph(write_graph(inst.graph)), g.subgraph(sorted(g.edge_ids)[:3], [0]),
+              g.relabeled({v: 2 * v for v in g.vertex_ids}, {e: e + 9 for e in g.edge_ids}),
+              subdivide_edge(g, 0, ["1/3"])]
+    assert not built and not any(map(_has_table, graphs))
+
+
+def test_sweep_prefix_reject_builds_no_step_table(monkeypatch, tmp_path):
+    built = _counted_tables(monkeypatch)
+    segments, _, _ = _counted_parts(monkeypatch)
+    for argv in _rank12_negatives(3, 8, tmp_path):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 1
+        assert out.getvalue().startswith("verdict REJECT spectrum-mismatch")
+    assert not segments and not built  # each failed before the pipeline
+
+
+def test_accept_builds_a_step_table_on_each_core(monkeypatch):
+    built = _counted_tables(monkeypatch)
+    pairs = [(g, inst, 4) for g, inst in disguise_instances(30)]
+    for sweep in (0, 4):  # fresh graphs: a second verdict on a core builds nothing
+        rank16 = random_graph(3, 14, 16, 10)
+        pairs.append((rank16, disguise(rank16, 103), sweep))
+    kinds = set()
+    for g, inst, sweep in pairs:
+        built.clear()
+        cert = reconstruct(g, inst.graph, inst.hom, sweep)
+        assert isinstance(cert, IsometryCertificate)
+        # A circle's certificate is read off its circumference alone.
+        assert built == ([cert.core1.core, cert.core2.core] if cert.kind == "branched" else [])
+        kinds.add(cert.kind)
+    assert kinds == {"branched", "circle"}

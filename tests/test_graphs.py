@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from length_reference import reference_parse_length
 
-from mlsgraph import (GraphError, MetricGraph, attach_tree, format_length, parse_length,
-                      random_graph, read_graph, shortest_path, subdivide_edge, validate_graph,
-                      vertex_degree, write_graph)
+from mlsgraph import (GraphError, MetricGraph, attach_tree, disguise, format_length,
+                      parse_length, random_graph, read_graph, shortest_path, subdivide_edge,
+                      validate_graph, vertex_degree, write_graph)
 from mlsgraph.graphs import MAX_LENGTH_DIGITS, DirectedEdge, random_tree
 
 
@@ -151,9 +151,6 @@ def test_next_steps_continue_without_backtracking(dumbbell):
     assert dumbbell.next_steps(loop.reverse()) == (loop.reverse(), bridge)
     assert dumbbell.next_steps(bridge) == (DirectedEdge(1), DirectedEdge(1, True))
     assert dumbbell.next_steps(bridge.reverse()) == (loop, loop.reverse())
-    for v in dumbbell.vertex_ids:
-        for step in dumbbell.out_steps(v):
-            assert dumbbell.next_steps(step) is dumbbell.next_steps(step)
 
 
 @st.composite
@@ -167,6 +164,54 @@ def shuffled_multigraphs(draw):
                         unique=True, max_size=8))
     rows = [(eid, draw(ends), draw(ends), draw(st.integers(1, 3))) for eid in ids]
     return MetricGraph(draw(st.permutations(vertices)), draw(st.permutations(rows)))
+
+
+def _old_next_steps(g, step):
+    """`next_steps` as it was defined before the step table: the out-steps at
+    the step's head, less the step straight back."""
+    return tuple(t for t in g.out_steps(g.step_head(step)) if t != step.reverse())
+
+
+def _assert_next_steps_match_the_old_definition(g):
+    for v in g.vertex_ids:
+        for step in g.out_steps(v):
+            assert g.next_steps(step) == _old_next_steps(g, step), step
+            assert all(type(t) is DirectedEdge and type(t.rev) is bool
+                       for t in g.next_steps(step))
+
+
+@given(shuffled_multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_next_steps_match_the_old_definition_on_shuffled_multigraphs(g):
+    _assert_next_steps_match_the_old_definition(g)
+    for eid, rec in g._edges.items():
+        if rec.u not in g.vertex_ids or rec.v not in g.vertex_ids:
+            for rev in (False, True):  # the old definition answered one of these
+                with pytest.raises(GraphError, match=f"edge {eid} has an endpoint that"):
+                    g.next_steps(DirectedEdge(eid, rev))
+    unknown = max(g.edge_ids, default=0) + 1
+    with pytest.raises(GraphError, match=f"unknown edge id {unknown}"):
+        g.next_steps(DirectedEdge(unknown))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), vertices=st.integers(1, 6), extra=st.integers(1, 4))
+def test_next_steps_match_the_old_definition_on_disguises(seed, vertices, extra):
+    # A disguise adds pendant trees and subdivided edges.
+    g = random_graph(seed, vertices, extra, 5)
+    for graph in (g, disguise(g, seed).graph):
+        _assert_next_steps_match_the_old_definition(graph)
+
+
+def test_next_steps_refuse_unknown_and_dangling_edges():
+    g = MetricGraph([0, 1], [(0, 0, 1, 1), (1, 1, 5, 2), (2, 7, 0, 1)])
+    for step in (DirectedEdge(3), DirectedEdge(3, True), DirectedEdge(10**9)):
+        with pytest.raises(GraphError, match=f"unknown edge id {step.edge}$"):
+            g.next_steps(step)
+    for step in (DirectedEdge(1), DirectedEdge(1, True), DirectedEdge(2), DirectedEdge(2, True)):
+        with pytest.raises(GraphError, match=f"edge {step.edge} has an endpoint that is not"):
+            g.next_steps(step)
+    assert g.next_steps(DirectedEdge(0)) == ()
 
 
 def _sorted_adjacency(g):
@@ -280,6 +325,21 @@ def test_subdivide_bad_fractions(theta):
         subdivide_edge(theta, 0, [Fraction(1, 2), Fraction(1, 3)])
     with pytest.raises(GraphError):
         subdivide_edge(theta, 0, [Fraction(3, 2)])
+
+
+def test_subdivide_refuses_float_cuts(theta):
+    # A float is a binary value: a cut at 0.1 would give edge 0's pieces
+    # denominator 2**55, and the graph that length scale.
+    for cuts in ([0.1], [Fraction(1, 3), 0.5], (c for c in [0.25])):
+        with pytest.raises(GraphError, match="^float cut positions are not exact; pass a "
+                                             "Fraction, an int, or a literal string$"):
+            subdivide_edge(theta, 0, cuts)
+    exact = subdivide_edge(theta, 0, [Fraction(1, 10)])
+    assert exact.length_scale == 10
+    for cuts in (["1/10"], ["0.1"], [Fraction(1, 10)]):
+        assert write_graph(subdivide_edge(theta, 0, cuts)) == write_graph(exact)
+    with pytest.raises(GraphError, match="subdivision fractions must lie strictly inside"):
+        subdivide_edge(theta, 0, [1])
 
 
 def test_subdivide_preserves_distances():

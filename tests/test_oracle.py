@@ -10,8 +10,7 @@ from mlsgraph import (BudgetExceededError, Hom, MetricGraph, brute_force_isometr
 from mlsgraph.fungroup import identity_hom, marked_length
 from mlsgraph.graphs import DirectedEdge, GraphError
 from mlsgraph.hull import core_equals_loop_union
-from mlsgraph.oracle import (_build_transition_tables, _enumerate_loop_codes, _transition_tables,
-                             covering_loop_depth)
+from mlsgraph.oracle import _enumerate_loop_codes, covering_loop_depth
 
 
 def test_enumerate_theta_two_edges(theta):
@@ -102,13 +101,13 @@ def _table_graphs():
 
 def test_transition_tables_match_the_frozen_reference():
     for name, g in _table_graphs().items():
-        assert _build_transition_tables(g) == reference_transition_tables(g), name
+        assert g._step_table == reference_transition_tables(g), name
 
 
 @given(shuffled_multigraphs())
 @settings(max_examples=300, deadline=None)
 def test_transition_tables_match_on_shuffled_multigraphs(g):
-    assert _build_transition_tables(g) == reference_transition_tables(g)
+    assert g._step_table == reference_transition_tables(g)
 
 
 def test_transition_tables_read_no_step_accessor(monkeypatch):
@@ -120,7 +119,7 @@ def test_transition_tables_read_no_step_accessor(monkeypatch):
             return _real(self, arg)
         monkeypatch.setattr(MetricGraph, name, counting)
     for g in graphs.values():
-        _build_transition_tables(g)
+        g._step_table  # built here
     assert calls == []
     reference_transition_tables(graphs["self-loops and parallel"])  # the counters count
     assert {"out_steps", "step_head", "step_tail"} <= set(calls)
@@ -251,9 +250,7 @@ def test_covering_depth_is_minimal_stabilization():
 def _covering_loop_depth_all_starts(g, edge_ids):
     """The search from every directed step, before it was cut to one forward
     step per requested edge; kept as the reference."""
-    from mlsgraph.oracle import _transition_tables
-
-    codes, head, tail, succ = _transition_tables(g)
+    codes, head, tail, succ = g._step_table
     best = {}
     for start in codes:
         target = tail[start]
@@ -346,8 +343,8 @@ class _CountingTail(dict):
 def test_covering_depth_searches_the_circle_once():
     n = 1200
     circle = MetricGraph(range(n), [(i, i, (i + 1) % n, 1) for i in range(n)])
-    codes, head, tail, succ = _transition_tables(circle)
+    codes, head, tail, succ = circle._step_table
     counting = _CountingTail(tail)
-    circle._transitions = (codes, head, counting, succ)
+    circle._step_table = (codes, head, counting, succ)
     assert covering_loop_depth(circle, circle.edge_ids) == n
     assert counting.reads == 1

@@ -108,7 +108,8 @@ def _first_steps(cg, p):
 
 
 def _count_trees(monkeypatch):
-    """Record the first step of every route tree `_frames` starts."""
+    """Record the first step of every route tree `_frames` starts, as its
+    step-table code."""
     built = []
     real = rigidity.deque
 
@@ -120,16 +121,25 @@ def _count_trees(monkeypatch):
     return built
 
 
-def _count_expansions(monkeypatch):
-    """Count the states route trees expand (one `next_steps` call each)."""
+class _CountingSuccessors(dict):
+    """A step table's successor map that records each code read."""
+
+    def __init__(self, succ, reads):
+        super().__init__(succ)
+        self.reads = reads
+
+    def __getitem__(self, code):
+        self.reads.append(code)
+        return super().__getitem__(code)
+
+
+def _count_expansions(graphs):
+    """Count the states route trees expand on the given graphs: one read of
+    the step table's successors each."""
     expanded = []
-    real = MetricGraph.next_steps
-
-    def counted(self, step):
-        expanded.append(step)
-        return real(self, step)
-
-    monkeypatch.setattr(MetricGraph, "next_steps", counted)
+    for g in graphs:
+        codes, head, tail, succ = g._step_table
+        g._step_table = (codes, head, tail, _CountingSuccessors(succ, expanded))
     return expanded
 
 
@@ -144,7 +154,7 @@ def test_one_route_tree_per_first_step(monkeypatch):
         for seg in core.segments:
             built.clear()
             distinguishing_pair(core, seg.path, basis)
-            firsts = _first_steps(core.core, seg.path)
+            firsts = [2 * d.edge + d.rev for d in _first_steps(core.core, seg.path)]
             assert built and built == firsts[:len(built)], seg.path
             lazy += len(built) < len(firsts)
             kinds.add((seg.path.is_closed(), len(firsts) > 1))
@@ -152,7 +162,7 @@ def test_one_route_tree_per_first_step(monkeypatch):
     assert lazy  # some pair is found before every first step's tree is needed
 
 
-def test_route_tree_expansions_on_fixed_cores(monkeypatch, theta):
+def test_route_tree_expansions_on_fixed_cores(theta):
     # Theta, segment e0 (0 -> 1): the first steps are e1^-1 and e2^-1 and the
     # last steps the same two.  Frame (e1^-1, e1^-1) expands nothing.  The
     # second loop skips e1^-1's frames and starts e2^-1's tree:
@@ -165,7 +175,7 @@ def test_route_tree_expansions_on_fixed_cores(monkeypatch, theta):
     # expands 3 states.
     cores = [(compute_core(g), spanning_tree(g))
              for g in (theta, MetricGraph(*TWO_LOOPS_TWO_ARCS))]
-    expanded = _count_expansions(monkeypatch)
+    expanded = _count_expansions(core.core for core, _ in cores)
     counts = []
     for core, basis in cores:
         per_segment = []
